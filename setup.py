@@ -1,8 +1,8 @@
 """Legacy setup shim.
 
 The execution environment is offline and lacks the ``wheel`` package, so
-``pip install -e .`` must take the legacy ``setup.py develop`` path.  All
-metadata lives in ``pyproject.toml``; this file only bridges to setuptools.
+``pip install -e .`` must take the legacy ``setup.py develop`` path.  The
+package metadata below is the only copy (there is no ``pyproject.toml``).
 """
 
 from setuptools import find_packages, setup

@@ -57,7 +57,6 @@ from typing import Iterable, List, Optional
 from ..errors import CloudError
 from ..faults.recovery import FaultReport, FaultStats
 from ..scheduling import PolicyConfig, ReplicaTimeline
-from ..scheduling.elastic import ElasticPolicyEngine
 from ..schedsim.simulator import (
     DISK_BANDWIDTH,
     ScheduleSimulator,
@@ -137,7 +136,6 @@ class CloudScheduleSimulator(ScheduleSimulator):
         cost_model: Optional[CostModel] = None,
         overhead=None,
         engine: Optional[Engine] = None,
-        policy_engine_cls: type = ElasticPolicyEngine,
         tick: float = 60.0,
         tracer: Optional[Tracer] = None,
         checkpoints=None,
@@ -164,7 +162,6 @@ class CloudScheduleSimulator(ScheduleSimulator):
             total_slots=initial,
             overhead=overhead,
             engine=engine,
-            policy_engine_cls=policy_engine_cls,
             tracer=tracer,
         )
         self.provider = provider
@@ -451,15 +448,14 @@ class CloudScheduleSimulator(ScheduleSimulator):
         store = self._ckpt
         if store is None:
             return
-        preview = getattr(self.policy, "eviction_candidates", None)
         at_risk = (
             node.drain_remaining
             if node.state == NodeState.DRAINING else node.slots
         )
-        if preview is None or at_risk <= 0:
+        if at_risk <= 0:
             return
         now = self.engine.now
-        for candidate in preview(at_risk):
+        for candidate in self.policy.eviction_candidates(at_risk):
             running = self._running.get(candidate.name)
             if running is None:
                 continue
@@ -535,12 +531,6 @@ class CloudScheduleSimulator(ScheduleSimulator):
 
     def _cluster_state(self) -> ClusterState:
         queue = self.policy.queue
-        # The queue's aggregate demand is an O(1) counter on
-        # IndexedJobList; a custom policy_engine_cls exposing a plain
-        # list pays the literal sum.
-        demand = getattr(queue, "min_replicas_total", None)
-        if demand is None:
-            demand = sum(j.request.min_replicas for j in queue)
         # Scaling arithmetic uses the first pool's node size; multi-pool
         # fleets are assumed roughly homogeneous (see autoscaler module).
         spn = self.provider.pools[0].slots_per_node
@@ -553,7 +543,8 @@ class CloudScheduleSimulator(ScheduleSimulator):
             free_slots=free,
             running_jobs=len(self.policy.running),
             queued_jobs=len(queue),
-            queued_demand=demand,
+            # An O(1) aggregate counter on IndexedJobList.
+            queued_demand=queue.min_replicas_total,
             nodes=len(active),
             pending_nodes=sum(
                 1 for n in active if n.state == NodeState.PROVISIONING

@@ -3,20 +3,24 @@
 Public surface::
 
     from repro.scheduling import (
-        ElasticPolicyEngine, PolicyConfig, SchedulingPolicy,
-        SchedulerRegistry, REGISTRY, resolve, list_policies,
-        make_policy, POLICY_NAMES,
+        ElasticPolicyEngine, PolicyConfig, SchedulingPolicy, Aging,
+        SchedulerRegistry, REGISTRY, resolve, list_policies, POLICY_NAMES,
         JobRequest, SchedulerJob, JobState,
-        Decision, StartJob, ShrinkJob, ExpandJob, EnqueueJob,
+        Decision, StartJob, ShrinkJob, ExpandJob, EnqueueJob, RequeueJob,
+        PreemptJob, ResumeJob,
         JobOutcome, ReplicaTimeline, SchedulerMetrics, compute_metrics,
-        ElasticSchedulerController,
     )
+
+The Kubernetes-facing :class:`ElasticSchedulerController` pulls in the
+operator stack, so it lives in :mod:`repro.scheduling.controller` and is
+imported from there.
 
 Policies resolve by name through :mod:`repro.scheduling.registry`;
 importing this package registers the paper's four policies
 (:mod:`.policies`), the literature schedulers (:mod:`.literature`:
-``ewt``, ``prb``, ``easy-backfill``), and the power-capped scenario
-(:mod:`.power`).
+``ewt``, ``prb``, ``easy-backfill``), the power-capped scenario
+(:mod:`.power`), and the §3.2.2 extensions (:mod:`.extensions`:
+``aging``, ``preemptive``).
 """
 
 from .elastic import ElasticPolicyEngine
@@ -40,17 +44,21 @@ from .registry import (
     list_policies,
     resolve,
 )
-from .policies import DEFAULT_RESCALE_GAP, POLICY_NAMES, make_policy
+from .policies import DEFAULT_RESCALE_GAP, POLICY_NAMES
 from . import literature  # noqa: F401  (self-registering policies)
 from . import power  # noqa: F401  (self-registering policies)
+from . import extensions  # noqa: F401  (self-registering policies)
 from .policy import (
+    Aging,
     BackfillRule,
     CapacityConstraint,
     Decision,
     EnqueueJob,
     ExpandJob,
     PolicyConfig,
+    PreemptJob,
     RequeueJob,
+    ResumeJob,
     SchedulingPolicy,
     ShrinkJob,
     StartJob,
@@ -60,6 +68,7 @@ __all__ = [
     "ElasticPolicyEngine",
     "PolicyConfig",
     "SchedulingPolicy",
+    "Aging",
     "BackfillRule",
     "CapacityConstraint",
     "SchedulerRegistry",
@@ -70,7 +79,6 @@ __all__ = [
     "resolve",
     "list_policies",
     "describe",
-    "make_policy",
     "POLICY_NAMES",
     "DEFAULT_RESCALE_GAP",
     "JobRequest",
@@ -83,6 +91,8 @@ __all__ = [
     "ExpandJob",
     "EnqueueJob",
     "RequeueJob",
+    "PreemptJob",
+    "ResumeJob",
     "JobOutcome",
     "ReplicaTimeline",
     "StreamingTimeline",
@@ -92,19 +102,3 @@ __all__ = [
     "FairnessReport",
     "compute_fairness",
 ]
-
-# The Kubernetes-facing controller pulls in the operator stack; import it
-# lazily so pure-policy users (the simulator) stay lightweight.
-
-
-def __getattr__(name):
-    if name == "ElasticSchedulerController":
-        from .controller import ElasticSchedulerController
-
-        return ElasticSchedulerController
-    if name in ("AgingPolicyEngine", "PreemptivePolicyEngine", "PreemptJob",
-                "ResumeJob"):
-        from . import extensions
-
-        return getattr(extensions, name)
-    raise AttributeError(f"module 'repro.scheduling' has no attribute {name!r}")

@@ -334,7 +334,7 @@ class ReferencePreemptivePolicyEngine(ReferenceElasticPolicyEngine):
         return self._log(decisions[:-1] + preemptions + [start])
 
     def _try_preempt(self, job: SchedulerJob, now: float) -> List[Decision]:
-        from .extensions import PreemptJob
+        from .policy import PreemptJob
 
         reserve = self.config.launcher_slots
         needed = job.min_replicas - (self.free_slots - reserve)
@@ -363,7 +363,7 @@ class ReferencePreemptivePolicyEngine(ReferenceElasticPolicyEngine):
         return decisions
 
     def _start_queued(self, job: SchedulerJob, replicas: int, now: float):
-        from .extensions import ResumeJob
+        from .policy import ResumeJob
 
         start = super()._start_queued(job, replicas, now)
         if job.name in self.preempted:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..errors import SchedulingError
 from ..k8s import KubeCluster
 from ..mpioperator import CharmJob, CharmJobController, JobPhase
 from .elastic import ElasticPolicyEngine
@@ -44,8 +45,16 @@ class ElasticSchedulerController:
         self.cluster = cluster
         self.operator = operator
         self.tracer = tracer
+        config = config or PolicyConfig()
+        if getattr(config, "preemption", False):
+            # The operator has no checkpoint-to-disk path: a PreemptJob
+            # would have nothing to apply it.
+            raise SchedulingError(
+                f"policy {config.name!r}: the preemption stage is not "
+                "supported by the Kubernetes controller"
+            )
         slots = int(cluster.total_cpus) if total_slots is None else int(total_slots)
-        self.policy = ElasticPolicyEngine(slots, config or PolicyConfig())
+        self.policy = ElasticPolicyEngine(slots, config)
         self.total_slots = slots
         self._charm_jobs: Dict[str, CharmJob] = {}
         self._timelines: Dict[str, ReplicaTimeline] = {}

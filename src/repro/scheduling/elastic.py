@@ -1,7 +1,7 @@
 """The priority-based elastic scheduling policy — Figures 2 and 3.
 
 This is the paper's core contribution (§3.2.1), implemented faithfully
-from the pseudocode, including its quirks (documented in DESIGN.md §3):
+from the pseudocode, including its quirks:
 
 * the running-job scan uses ``index > 0``, so the single highest-priority
   running job is never considered for shrinking;
@@ -15,7 +15,7 @@ from the pseudocode, including its quirks (documented in DESIGN.md §3):
   elastic with :math:`T_{rescale\\_gap} = \\infty` — could never start
   queued jobs, contradicting §4.3.2).
 
-Two deviations (both documented in DESIGN.md §3):
+Two deviations from the pseudocode:
 
 * starting a *queued* job consumes ``launcher_slots`` in addition to its
   workers; Figure 3's budget arithmetic omits that launcher slot.  With
@@ -26,6 +26,12 @@ Two deviations (both documented in DESIGN.md §3):
   literal budget can strand a queued job forever (see
   ``PolicyConfig.literal_completion_budget``, which restores the verbatim
   behaviour for ablation).
+
+The quirks and deviations above are the reference semantics; every
+hook stage of :class:`~repro.scheduling.policy.PolicyConfig` (priority
+rule, backfill, capacity constraint, and the §3.2.2 extensions — queue
+aging and checkpoint-to-disk preemption) is ``None``/off on the paper's
+four policies, so none of their code runs there.
 
 Per-event complexity (the PR-3 hot-path contract)
 -------------------------------------------------
@@ -80,6 +86,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import itertools
 import math
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -92,7 +99,9 @@ from .policy import (
     EnqueueJob,
     ExpandJob,
     PolicyConfig,
+    PreemptJob,
     RequeueJob,
+    ResumeJob,
     ShrinkJob,
     StartJob,
 )
@@ -136,6 +145,10 @@ class ElasticPolicyEngine:
         factory = getattr(config, "capacity_constraint", None)
         #: One fresh constraint per engine: budgets are engine state.
         self._constraint = factory() if factory is not None else None
+        self._aging = getattr(config, "aging", None)
+        self._preemption = getattr(config, "preemption", False)
+        #: Preempted jobs waiting in the queue to resume from disk.
+        self._preempted: set = set()
         #: Span recorder a tracing substrate may attach
         #: (:class:`repro.obs.spans.PhaseSpans`); None = no span timing.
         self.spans = None
@@ -178,20 +191,24 @@ class ElasticPolicyEngine:
         except KeyError:
             raise JobStateError(f"unknown job {name!r}") from None
 
-    def jobs_by_priority(self) -> List[SchedulerJob]:
-        """Running and queued jobs in decreasing priority (Fig 3's allJobs)."""
-        return list(self._candidates_by_priority())
+    def _candidates_by_priority(self, now: float) -> Iterator[SchedulerJob]:
+        """Running and queued jobs in decreasing priority (Fig 3's allJobs).
 
-    def _candidates_by_priority(self) -> Iterator[SchedulerJob]:
-        """Lazy merge of the two sorted sequences in decreasing priority.
-
-        Both are permanently sorted by :func:`priority_order_key` with
-        unique keys, so the merge reproduces exactly what
-        ``sorted(running + queue)`` used to build — without materializing
-        it.  Callers must not structurally mutate ``running``/``queue``
-        while consuming the iterator.
+        Both lists are permanently sorted by :func:`priority_order_key`
+        with unique keys, so a lazy merge reproduces exactly what
+        ``sorted(running + queue)`` would build — without materializing
+        it.  Under the aging stage the order is time-dependent, so the
+        jobs are sorted by their aged priority at ``now`` instead.
+        Callers must not structurally mutate ``running``/``queue`` while
+        consuming the iterator.
         """
-        return heapq.merge(self.running, self.queue, key=priority_order_key)
+        aging = self._aging
+        if aging is None:
+            return heapq.merge(self.running, self.queue, key=priority_order_key)
+        return iter(sorted(
+            itertools.chain(self.running, self.queue),
+            key=lambda j: (-aging.effective_priority(j, now), j.submit_time, j.seq),
+        ))
 
     # ------------------------------------------------------------------
     # Event: new job submitted (Figure 2)
@@ -211,10 +228,17 @@ class ElasticPolicyEngine:
             raise JobStateError(f"job {request.name!r} already submitted")
         job = SchedulerJob(request=request, submit_time=now)
         self._jobs[request.name] = job
-        if self._constraint is not None:
-            return self._submit_constrained(job, now)
-        if self._backfill is not None and len(self.queue):
-            return self._submit_backfill(job, now)
+        if self._constraint is not None or self._backfill is not None:
+            decisions = self._submit_constrained(job, now)
+        else:
+            decisions = self._submit_indexed(job, now)
+        if self._preemption and type(decisions[-1]) is EnqueueJob:
+            self._preempt_for(job, now, decisions)
+        return self._log(decisions)
+
+    def _submit_indexed(self, job: SchedulerJob, now: float) -> List[Decision]:
+        """Figure 2 on the indexed lists — the paper's submission path."""
+        request = job.request
         reserve = self.config.launcher_slots
         req_min = request.min_replicas
         req_max = request.max_replicas
@@ -225,7 +249,7 @@ class ElasticPolicyEngine:
         replicas = avail if avail < req_max else req_max
         if replicas >= req_min:
             decisions.append(self._start(job, replicas, now))
-            return self._log(decisions)
+            return decisions
 
         # Dry run: would shrinking lower-priority jobs free enough slots to
         # reach the new job's minimum?  (An aggregate query over the
@@ -233,7 +257,7 @@ class ElasticPolicyEngine:
         # dry run is pure, so ``avail`` is still current afterwards.)
         if not self._shrink_feasible(job, now, req_min - avail):
             decisions.append(self._enqueue(job))
-            return self._log(decisions)
+            return decisions
 
         # Real pass: shrink towards freeing up to maxReplicas' worth.
         min_to_free = self._shrink_victims(
@@ -241,12 +265,12 @@ class ElasticPolicyEngine:
         )
         if min_to_free > 0:
             decisions.append(self._enqueue(job))
-            return self._log(decisions)
+            return decisions
 
         avail = self.free_slots - reserve
         replicas = avail if avail < req_max else req_max
         decisions.append(self._start(job, replicas, now))
-        return self._log(decisions)
+        return decisions
 
     # ------------------------------------------------------------------
     # Figure 2's shrink-victim walk, indexed
@@ -395,46 +419,32 @@ class ElasticPolicyEngine:
         return min_to_free
 
     # ------------------------------------------------------------------
-    # Hooked submission paths (backfill-eligibility, capacity-constraint)
+    # Hooked submission path (backfill-eligibility, capacity-constraint)
     # ------------------------------------------------------------------
     #
     # The paper's Figure 2 lets any arrival start past a non-empty queue
     # (the stated out-of-order-allocation feature) and knows only one
-    # budget, slots.  The hook stages generalize both; each path is only
-    # entered when its hook is configured, so the four paper policies
+    # budget, slots.  The hook stages generalize both; this path is only
+    # entered when one of them is configured, so the four paper policies
     # never reach this code.
 
-    def _submit_backfill(self, job: SchedulerJob, now: float) -> List[Decision]:
-        """An arrival that would start past a non-empty queue is a
-        *backfill* and must pass the backfill-eligibility stage (EASY:
-        the start may not delay the reserved queue head).
-
-        A backfill has to fit in the currently free slots — rearranging
-        running jobs to make room for a queue-jumper would contradict the
-        reservation the stage protects — so no Figure-2 shrink walk runs
-        here.
-        """
-        request = job.request
-        avail = self.free_slots - self.config.launcher_slots
-        replicas = avail if avail < request.max_replicas else request.max_replicas
-        decisions: List[Decision] = []
-        if replicas >= request.min_replicas and self._backfill.allows(
-            self, job, replicas, now
-        ):
-            decisions.append(self._start(job, replicas, now))
-        else:
-            decisions.append(self._enqueue(job))
-        return self._log(decisions)
-
     def _submit_constrained(self, job: SchedulerJob, now: float) -> List[Decision]:
-        """Figure 2 under an active capacity constraint: the dual budget.
+        """Figure 2 under the backfill and capacity-constraint stages.
 
-        Starts are capped by both free slots and :meth:`CapacityConstraint
-        .admit`; the shrink walk chases a *dual* deficit (slots and
-        constraint units), making elastic shrink the constraint's
-        actuator — the power-capped scenario's whole point.  The walk is
-        the literal Figure-2 shape (no aggregate credits: block
-        aggregates know nothing of constraint weights).
+        An arrival that would start past a non-empty queue is a
+        *backfill* and must pass the backfill-eligibility stage (EASY:
+        the start may not delay the reserved queue head).  A backfill has
+        to fit in the currently free slots — rearranging running jobs to
+        make room for a queue-jumper would contradict the reservation the
+        stage protects — so no shrink walk runs for it.
+
+        Under a capacity constraint, starts are capped by both free slots
+        and :meth:`CapacityConstraint.admit`; the shrink walk chases a
+        *dual* deficit (slots and constraint units), making elastic
+        shrink the constraint's actuator — the power-capped scenario's
+        whole point.  The walk is the literal Figure-2 shape (no
+        aggregate credits: block aggregates know nothing of constraint
+        weights); without a constraint it chases slots alone.
         """
         request = job.request
         cons = self._constraint
@@ -444,46 +454,45 @@ class ElasticPolicyEngine:
         decisions: List[Decision] = []
 
         avail = self.free_slots - reserve
-        room = cons.admit(request)
-        limit = avail if avail < room else room
-        replicas = limit if limit < req_max else req_max
+        replicas = self._admissible(request, avail)
+        jumping = self._backfill is not None and len(self.queue)
         if replicas >= req_min:
-            if (
-                self._backfill is not None
-                and len(self.queue)
-                and not self._backfill.allows(self, job, replicas, now)
-            ):
+            if jumping and not self._backfill.allows(self, job, replicas, now):
                 decisions.append(self._enqueue(job))
             else:
                 decisions.append(self._start(job, replicas, now))
-            return self._log(decisions)
-        if self._backfill is not None and len(self.queue):
-            # Queue-jumpers never trigger shrinks (see _submit_backfill).
+            return decisions
+        if jumping:
             decisions.append(self._enqueue(job))
-            return self._log(decisions)
+            return decisions
 
-        weight = cons.weight(request)
-        slot_deficit = req_min - avail
-        unit_deficit = req_min * weight - cons.headroom()
+        weight = cons.weight(request) if cons is not None else 0.0
+        headroom = cons.headroom() if cons is not None else 0.0
         if not self._constrained_shrink_feasible(
-            job, now, slot_deficit, unit_deficit
+            job, now, req_min - avail, req_min * weight - headroom
         ):
             decisions.append(self._enqueue(job))
-            return self._log(decisions)
+            return decisions
 
         self._constrained_shrink(
-            job, now, req_max - avail, req_max * weight - cons.headroom(),
-            decisions,
+            job, now, req_max - avail, req_max * weight - headroom, decisions
         )
-        avail = self.free_slots - reserve
-        room = cons.admit(request)
-        limit = avail if avail < room else room
-        replicas = limit if limit < req_max else req_max
+        replicas = self._admissible(request, self.free_slots - reserve)
         if replicas >= req_min:
             decisions.append(self._start(job, replicas, now))
         else:  # a shrink_filter vetoed part of the committed plan
             decisions.append(self._enqueue(job))
-        return self._log(decisions)
+        return decisions
+
+    def _admissible(self, request: JobRequest, avail: int) -> int:
+        """Replicas a start may take: ``avail`` slots, the request's
+        maximum and (when configured) the constraint's admission cap."""
+        limit = avail if avail < request.max_replicas else request.max_replicas
+        if self._constraint is not None:
+            room = self._constraint.admit(request)
+            if room < limit:
+                limit = room
+        return limit
 
     def _constrained_shrink_feasible(
         self, job: SchedulerJob, now: float, slot_deficit: int,
@@ -505,7 +514,8 @@ class ElasticPolicyEngine:
             extra = candidate.replicas - candidate.request.min_replicas
             if extra > 0:
                 slot_deficit -= extra
-                unit_deficit -= extra * cons.weight(candidate.request)
+                if cons is not None:
+                    unit_deficit -= extra * cons.weight(candidate.request)
                 if slot_deficit <= 0 and unit_deficit <= 0:
                     return True
         return slot_deficit <= 0 and unit_deficit <= 0
@@ -540,7 +550,7 @@ class ElasticPolicyEngine:
             old = candidate.replicas
             if old <= floor:
                 continue
-            weight = cons.weight(candidate.request)
+            weight = cons.weight(candidate.request) if cons is not None else 0.0
             want = slot_target if slot_target > 0 else 0
             if unit_target > 0 and weight > 0:
                 from_units = int(math.ceil(unit_target / weight))
@@ -556,6 +566,47 @@ class ElasticPolicyEngine:
                     freed = old - new
                     slot_target -= freed
                     unit_target -= freed * weight
+
+    # ------------------------------------------------------------------
+    # Preemption stage (§3.2.2, checkpoint-to-disk preemption)
+    # ------------------------------------------------------------------
+
+    def _preempt_for(
+        self, job: SchedulerJob, now: float, decisions: List[Decision]
+    ) -> None:
+        """Last resort for an arrival that ended queued: preempt.
+
+        Only strictly lower-priority running jobs are victims, lowest
+        priority first and never the protected index-0 job, and only if
+        together they free the arrival's minimum.  Each victim leaves
+        through :meth:`_requeue`; the arrival then starts in place of
+        its :class:`EnqueueJob` — capped like every start, so if the
+        constraint still refuses it the arrival stays queued.
+        """
+        reserve = self.config.launcher_slots
+        needed = job.request.min_replicas - (self.free_slots - reserve)
+        victims: List[SchedulerJob] = []
+        freed = 0
+        # islice over the lazy reverse iterator stops before the head
+        # without materializing the running list on every attempt.
+        for candidate in itertools.islice(
+            reversed(self.running), max(0, len(self.running) - 1)
+        ):
+            if freed >= needed or candidate.priority >= job.priority:
+                break
+            victims.append(candidate)
+            freed += candidate.replicas + reserve
+        if not victims or freed < needed:
+            return  # nothing to gain (or a backfill gate refused a fit)
+        enqueue = decisions.pop()
+        for victim in victims:
+            decisions.append(self._requeue(victim, now, preempt=True))
+        replicas = self._admissible(job.request, self.free_slots - reserve)
+        if replicas >= job.request.min_replicas:
+            self.queue.remove(job)
+            decisions.append(self._start(job, replicas, now))
+        else:
+            decisions.append(enqueue)
 
     # ------------------------------------------------------------------
     # Event: job finished (Figure 3)
@@ -617,14 +668,19 @@ class ElasticPolicyEngine:
         ``last_action``).  A skipped running candidate would have emitted
         nothing and consumed no budget, so the emitted decision sequence
         is exactly the literal scan's (:meth:`_redistribute_scan`, which
-        time-dependent-priority subclasses still use).
+        the hooked stages still use).
         """
         if self._obs is not None:
             self._obs_redistributes.inc()
-        if self._constraint is not None or self._backfill is not None:
-            # Hooked policies take the literal scan: constraint caps and
-            # backfill gates are per-candidate state the block aggregates
-            # cannot express.  Hook-free configs never reach this branch.
+        if (
+            self._constraint is not None
+            or self._backfill is not None
+            or self._aging is not None
+        ):
+            # Hooked policies take the literal scan: constraint caps,
+            # backfill gates and aged (time-dependent) priorities are
+            # per-candidate state the block aggregates cannot express.
+            # Hook-free configs never reach this branch.
             return self._redistribute_scan(num_workers, now, decisions)
         reserve = self.config.launcher_slots
         gap = self.config.rescale_gap
@@ -735,15 +791,16 @@ class ElasticPolicyEngine:
         """The literal Figure-3 scan over :meth:`_candidates_by_priority`.
 
         Kept as the reference shape of the walk — and as the live path
-        for subclasses whose candidate order is time-dependent (aging),
-        where block aggregates keyed on static priority cannot apply.
+        for the hook stages, including aging, whose time-dependent
+        candidate order block aggregates keyed on static priority cannot
+        follow.
         """
         reserve = self.config.launcher_slots
         gap = self.config.rescale_gap
         cons = self._constraint
         backfill = self._backfill
         passed_queued = False  # a queued job was left waiting upstream
-        for candidate in self._candidates_by_priority():
+        for candidate in self._candidates_by_priority(now):
             if num_workers <= 0:
                 break
             if now - candidate.last_action < gap:
@@ -911,17 +968,23 @@ class ElasticPolicyEngine:
                 spans.end("redistribute", decisions=len(decisions))
         return self._log(decisions)
 
-    def _requeue(self, job: SchedulerJob, now: float) -> RequeueJob:
-        """Evict a running job to the queue (forced capacity loss only).
+    def _requeue(
+        self, job: SchedulerJob, now: float, *, preempt: bool = False
+    ) -> Decision:
+        """Move a running job back to the queue, releasing its slots.
 
-        ``last_action`` resets to ``-inf``, the value a never-started
-        submission carries: the job is starting over, and it must be
-        immediately restartable when capacity returns — under the
-        moldable policy (``T_rescale_gap = ∞``) any finite timestamp
-        would gate its restart forever, deadlocking the workload on the
-        first interruption.  Eviction is the cloud's doing, not one of
-        the job's §3.2.1 scheduling events, so no rescale-gap penalty
-        applies.
+        A forced capacity loss evicts (:class:`RequeueJob`): ``last_action``
+        resets to ``-inf``, the value a never-started submission carries —
+        the job is starting over, and it must be immediately restartable
+        when capacity returns (under the moldable policy,
+        ``T_rescale_gap = ∞``, any finite timestamp would gate its restart
+        forever, deadlocking the workload on the first interruption).
+        Eviction is the cloud's doing, not one of the job's §3.2.1
+        scheduling events, so no rescale-gap penalty applies.
+
+        A preemption (:class:`PreemptJob`) *is* a scheduling event: it
+        stamps ``last_action = now``, and the job resumes from its disk
+        checkpoint through :meth:`_start_queued`.
         """
         self.running.remove(job)
         released = job.replicas
@@ -930,6 +993,11 @@ class ElasticPolicyEngine:
             self._constraint.charge(job.request, -released)
         job.replicas = 0
         job.state = JobState.QUEUED
+        if preempt:
+            job.last_action = now
+            self._preempted.add(job.name)
+            self.queue.add(job)
+            return PreemptJob(job=job, released_replicas=released)
         job.last_action = -math.inf
         self.queue.add(job)
         return RequeueJob(job=job, released_replicas=released)
@@ -1016,9 +1084,14 @@ class ElasticPolicyEngine:
             start = self._activate(job, replicas, now)
             self.queue.rescaled(job, before)
             self._pending_starts.append(job)
-            return start
-        self.queue.remove(job)
-        return self._start(job, replicas, now)
+        else:
+            self.queue.remove(job)
+            start = self._start(job, replicas, now)
+        preempted = self._preempted
+        if preempted and job.name in preempted:
+            preempted.discard(job.name)
+            return ResumeJob(job=job, replicas=replicas)
+        return start
 
     def _enqueue(self, job: SchedulerJob) -> EnqueueJob:
         # NOTE: lastAction deliberately untouched (see module docstring).

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol, runtime_checkable
 
-from .job import JobRequest, SchedulerJob
+from .job import JobRequest, JobState, SchedulerJob
 
 __all__ = [
     "Decision",
@@ -21,6 +21,9 @@ __all__ = [
     "ExpandJob",
     "EnqueueJob",
     "RequeueJob",
+    "PreemptJob",
+    "ResumeJob",
+    "Aging",
     "PolicyConfig",
     "SchedulingPolicy",
     "BackfillRule",
@@ -71,12 +74,52 @@ class RequeueJob(Decision):
     Emitted only by forced capacity shrinks (a spot-instance interruption
     reclaiming a node out from under the scheduler, §2's cloud reality) —
     never by the Figure-2/3 policy logic itself.  Unlike
-    :class:`~repro.scheduling.extensions.PreemptJob` the eviction is not a
-    scheduling choice and carries no checkpoint: the substrate decides
-    what survives (the schedsim model restarts the job from scratch).
+    :class:`PreemptJob` the eviction is not a scheduling choice and
+    carries no checkpoint: the substrate decides what survives (the
+    schedsim model restarts the job from scratch).
     """
 
     released_replicas: int
+
+
+@dataclass(frozen=True)
+class PreemptJob(Decision):
+    """Checkpoint a running job to disk and release all its slots (§3.2.2).
+
+    Emitted only under ``PolicyConfig.preemption``.  The job returns to
+    the queue with its progress preserved; the substrate charges the disk
+    checkpoint now and the restore when :class:`ResumeJob` restarts it.
+    """
+
+    released_replicas: int
+
+
+@dataclass(frozen=True)
+class ResumeJob(Decision):
+    """A preempted job restarting from its disk checkpoint."""
+
+    replicas: int
+
+
+@dataclass(frozen=True)
+class Aging:
+    """Queue-aging stage (§3.2.2, *Aging priorities*).
+
+    A queued job gains one priority level per ``interval`` seconds of
+    waiting, capped at ``max_priority``, so long-starved submissions
+    eventually outrank fresher work when freed slots are handed out.
+    Running jobs keep their user priority: aging orders only the
+    Figure-3 hand-out, never the Figure-2 shrink-victim walk.
+    """
+
+    interval: float
+    max_priority: int
+
+    def effective_priority(self, job: SchedulerJob, now: float):
+        if job.state != JobState.QUEUED:
+            return job.priority
+        waited = max(0.0, now - job.submit_time)
+        return min(self.max_priority, job.priority + int(waited // self.interval))
 
 
 @runtime_checkable
@@ -132,7 +175,7 @@ class SchedulingPolicy(Protocol):
     :class:`PolicyConfig` is the canonical implementation; anything with
     these attributes (e.g. a third-party config registered through
     :mod:`repro.scheduling.registry`) drives the engine equally.  The
-    three hook stages generalize the paper's fixed algorithm:
+    hook stages generalize the paper's fixed algorithm:
 
     ``priority_rule``
         queue-ordering stage — rewrites a submission's effective priority
@@ -142,6 +185,11 @@ class SchedulingPolicy(Protocol):
     ``capacity_constraint``
         capacity-constraint stage — factory for a per-engine budget
         tighter than the slot count (power capping).
+    ``aging``
+        queue-aging stage — queued jobs gain priority while they wait.
+    ``preemption``
+        preemption stage — a strictly higher-priority arrival that would
+        queue checkpoints lower-priority running jobs to disk instead.
     """
 
     name: str
@@ -153,6 +201,8 @@ class SchedulingPolicy(Protocol):
     priority_rule: Optional[Callable[[JobRequest], float]]
     backfill: Optional[BackfillRule]
     capacity_constraint: Optional[Callable[[], CapacityConstraint]]
+    aging: Optional[Aging]
+    preemption: bool
 
 
 @dataclass
@@ -202,6 +252,16 @@ class PolicyConfig:
         Capacity-constraint stage: a zero-argument factory producing one
         fresh :class:`CapacityConstraint` per engine (engines must not
         share budget state).  ``None`` means slots are the only budget.
+    aging:
+        Queue-aging stage (:class:`Aging`): orders the Figure-3 hand-out
+        by waiting-time-boosted priority.  ``None`` orders by the
+        submitted priority alone.
+    preemption:
+        Preemption stage: when a submission ends queued, running jobs of
+        strictly lower priority are checkpointed to disk
+        (:class:`PreemptJob`) — lowest priority first, never the
+        index-0 job — if that lets the arrival start.  Victims resume
+        later as :class:`ResumeJob`.
     """
 
     name: str = "elastic"
@@ -215,6 +275,8 @@ class PolicyConfig:
     priority_rule: Optional[Callable[[JobRequest], float]] = None
     backfill: Optional[BackfillRule] = None
     capacity_constraint: Optional[Callable[[], CapacityConstraint]] = None
+    aging: Optional[Aging] = None
+    preemption: bool = False
 
     def __post_init__(self):
         # Catch bad parameters at construction with a message naming the
@@ -264,6 +326,16 @@ class PolicyConfig:
             self.capacity_constraint
         ):
             fail("capacity_constraint must be a zero-argument factory or None")
+        if self.aging is not None:
+            if not isinstance(self.aging, Aging):
+                fail(f"aging must be an Aging stage or None, got {self.aging!r}")
+            if not self.aging.interval > 0:  # also rejects NaN
+                fail(
+                    f"aging interval must be positive, "
+                    f"got {self.aging.interval!r}"
+                )
+        if not isinstance(self.preemption, bool):
+            fail(f"preemption must be a bool, got {self.preemption!r}")
 
     @property
     def is_moldable(self) -> bool:

@@ -11,9 +11,6 @@ engine's elastic shrink/expand machinery becomes the *power-capping
 actuator* — a high-priority arrival shrinks running jobs until both the
 slot and the watt deficits are covered, exactly the Figure-2 walk with a
 dual budget.
-
-The constraint composes with the base engine only (not the preemptive
-extension, whose checkpoint transitions bypass the charge points).
 """
 
 from __future__ import annotations

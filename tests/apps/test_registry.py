@@ -62,18 +62,15 @@ class TestPackageSurface:
         assert repro.__version__ == "1.0.0"
         assert issubclass(repro.ReproError, Exception)
 
-    def test_lazy_scheduling_exports(self):
-        from repro.scheduling import (
-            AgingPolicyEngine,
-            ElasticSchedulerController,
-            PreemptivePolicyEngine,
-        )
+    def test_scheduling_exports(self):
+        from repro.scheduling import Aging, PreemptJob, ResumeJob
+        from repro.scheduling.controller import ElasticSchedulerController
 
-        assert AgingPolicyEngine is not None
-        assert PreemptivePolicyEngine is not None
+        assert Aging is not None
+        assert PreemptJob is not None and ResumeJob is not None
         assert ElasticSchedulerController is not None
 
-    def test_lazy_export_unknown_attribute(self):
+    def test_unknown_scheduling_attribute(self):
         import repro.scheduling as s
 
         with pytest.raises(AttributeError):

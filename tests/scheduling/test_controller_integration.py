@@ -4,7 +4,7 @@ import pytest
 
 from repro.k8s import make_eks_cluster
 from repro.mpioperator import CharmJobController, JobPhase
-from repro.scheduling import PolicyConfig, make_policy
+from repro.scheduling import PolicyConfig, REGISTRY
 from repro.scheduling.controller import ElasticSchedulerController
 from tests.mpioperator.conftest import BlockApp, make_job
 
@@ -122,3 +122,28 @@ class TestEndToEnd:
         assert 0.0 < m.utilization <= 1.0
         assert m.total_time > 0
         assert m.weighted_mean_completion >= m.weighted_mean_response
+
+
+class TestUnsupportedStages:
+    def test_preemption_config_rejected_at_construction(self, engine):
+        from repro.errors import SchedulingError
+
+        cluster = make_eks_cluster(engine)
+        operator = CharmJobController(engine, cluster, app_factory=BlockApp)
+        with pytest.raises(SchedulingError, match="preemption stage"):
+            ElasticSchedulerController(
+                engine, cluster, operator,
+                config=REGISTRY.resolve("preemptive", launcher_slots=1),
+            )
+
+    def test_aging_config_accepted(self, engine):
+        cluster = make_eks_cluster(engine)
+        operator = CharmJobController(engine, cluster, app_factory=BlockApp)
+        scheduler = ElasticSchedulerController(
+            engine, cluster, operator,
+            config=REGISTRY.resolve("aging", launcher_slots=1),
+        )
+        job = make_job(min_replicas=4, max_replicas=16, steps=40)
+        scheduler.submit(job)
+        engine.run(until=400.0)
+        assert job.status.phase == JobPhase.COMPLETED

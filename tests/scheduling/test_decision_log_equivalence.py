@@ -4,8 +4,9 @@ The PR-2 hot-path rework (incremental slot accounting, insort-maintained
 lists, lazy Figure-3 merge) must not change a single scheduling decision:
 the paper-faithful semantics — including the documented Figure 2/3 quirks
 — are defined by :mod:`repro.scheduling._reference`, and this suite
-proves the optimized :class:`ElasticPolicyEngine` (and its aging and
-preemptive extensions) byte-identical to it across randomized workloads.
+proves the optimized :class:`ElasticPolicyEngine` (including its
+``aging`` and ``preemptive`` registry residents) byte-identical to it
+across randomized workloads.
 
 Each scenario drives both engines through the same deterministic event
 stream (submissions, completions, substrate rescale failures) and
@@ -18,13 +19,13 @@ import random
 
 import pytest
 
-from repro.scheduling import ElasticPolicyEngine, JobRequest, PolicyConfig, make_policy
+from repro.scheduling import ElasticPolicyEngine, JobRequest, PolicyConfig
 from repro.scheduling._reference import (
     ReferenceAgingPolicyEngine,
     ReferenceElasticPolicyEngine,
     ReferencePreemptivePolicyEngine,
 )
-from repro.scheduling.extensions import AgingPolicyEngine, PreemptivePolicyEngine
+from repro.scheduling.registry import REGISTRY
 
 POLICIES = ("elastic", "moldable", "min_replicas", "max_replicas")
 SEEDS = tuple(range(20))
@@ -148,10 +149,10 @@ def assert_equivalent(optimized, reference, seed, n_jobs=60):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("policy", POLICIES)
 def test_elastic_engine_matches_reference(policy, seed):
-    config = make_policy(policy)
+    config = REGISTRY.resolve(policy)
     assert_equivalent(
         ElasticPolicyEngine(TOTAL_SLOTS, config),
-        ReferenceElasticPolicyEngine(TOTAL_SLOTS, make_policy(policy)),
+        ReferenceElasticPolicyEngine(TOTAL_SLOTS, REGISTRY.resolve(policy)),
         seed,
     )
 
@@ -159,8 +160,8 @@ def test_elastic_engine_matches_reference(policy, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_preemptive_engine_matches_reference(seed):
     assert_equivalent(
-        PreemptivePolicyEngine(TOTAL_SLOTS, make_policy("elastic")),
-        ReferencePreemptivePolicyEngine(TOTAL_SLOTS, make_policy("elastic")),
+        ElasticPolicyEngine(TOTAL_SLOTS, REGISTRY.resolve("preemptive")),
+        ReferencePreemptivePolicyEngine(TOTAL_SLOTS, REGISTRY.resolve("elastic")),
         seed,
     )
 
@@ -168,9 +169,11 @@ def test_preemptive_engine_matches_reference(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_aging_engine_matches_reference(seed):
     assert_equivalent(
-        AgingPolicyEngine(TOTAL_SLOTS, make_policy("elastic"), aging_interval=300.0),
+        ElasticPolicyEngine(
+            TOTAL_SLOTS, REGISTRY.resolve("aging", aging_interval=300.0)
+        ),
         ReferenceAgingPolicyEngine(
-            TOTAL_SLOTS, make_policy("elastic"), aging_interval=300.0
+            TOTAL_SLOTS, REGISTRY.resolve("elastic"), aging_interval=300.0
         ),
         seed,
     )
@@ -206,7 +209,7 @@ class TestMultiBlockEquivalence:
     """
 
     @staticmethod
-    def _probing(seed, engine_cls, reference_cls, **engine_kwargs):
+    def _probing(seed, optimized, reference):
         peak = {"running": 0, "queue": 0}
         events = [0]
 
@@ -218,10 +221,6 @@ class TestMultiBlockEquivalence:
                 engine.running.check_invariants()
                 engine.queue.check_invariants()
 
-        optimized = engine_cls(BACKLOG_SLOTS, make_policy("elastic"),
-                               **engine_kwargs)
-        reference = reference_cls(BACKLOG_SLOTS, make_policy("elastic"),
-                                  **engine_kwargs)
         log_opt = drive_backlog(optimized, seed, probe=probe)
         log_ref = drive_backlog(reference, seed)
         assert log_opt == log_ref
@@ -235,7 +234,11 @@ class TestMultiBlockEquivalence:
     @pytest.mark.parametrize("seed", (0, 1, 2, 3))
     def test_elastic_multi_block_matches_reference(self, seed):
         peak = self._probing(
-            seed, ElasticPolicyEngine, ReferenceElasticPolicyEngine
+            seed,
+            ElasticPolicyEngine(BACKLOG_SLOTS, REGISTRY.resolve("elastic")),
+            ReferenceElasticPolicyEngine(
+                BACKLOG_SLOTS, REGISTRY.resolve("elastic")
+            ),
         )
         # The scenario must really have exercised the indexed regime.
         assert peak["running"] >= 3 and peak["queue"] >= 2
@@ -243,38 +246,62 @@ class TestMultiBlockEquivalence:
     @pytest.mark.parametrize("seed", (0, 1))
     def test_preemptive_multi_block_matches_reference(self, seed):
         peak = self._probing(
-            seed, PreemptivePolicyEngine, ReferencePreemptivePolicyEngine
+            seed,
+            ElasticPolicyEngine(BACKLOG_SLOTS, REGISTRY.resolve("preemptive")),
+            ReferencePreemptivePolicyEngine(
+                BACKLOG_SLOTS, REGISTRY.resolve("elastic")
+            ),
         )
         assert peak["running"] >= 3
 
     @pytest.mark.parametrize("seed", (0,))
     def test_aging_multi_block_matches_reference(self, seed):
         peak = self._probing(
-            seed, AgingPolicyEngine, ReferenceAgingPolicyEngine,
-            aging_interval=300.0,
+            seed,
+            ElasticPolicyEngine(
+                BACKLOG_SLOTS, REGISTRY.resolve("aging", aging_interval=300.0)
+            ),
+            ReferenceAgingPolicyEngine(
+                BACKLOG_SLOTS, REGISTRY.resolve("elastic"), aging_interval=300.0
+            ),
         )
         assert peak["running"] >= 3
+
+
+#: §4.3.2's emulation of each paper policy, spelled out without the
+#: registry: moldable is an infinite rescale gap, the rigid baselines pin
+#: every request to its minimum or maximum size.
+PAPER_EMULATIONS = {
+    "elastic": lambda: PolicyConfig(name="elastic"),
+    "moldable": lambda: PolicyConfig(name="moldable", rescale_gap=math.inf),
+    "min_replicas": lambda: PolicyConfig(
+        name="min_replicas",
+        job_transform=lambda r: r.with_rigid_replicas(r.min_replicas),
+    ),
+    "max_replicas": lambda: PolicyConfig(
+        name="max_replicas",
+        job_transform=lambda r: r.with_rigid_replicas(r.max_replicas),
+    ),
+}
 
 
 @pytest.mark.parametrize("seed", SEEDS[:10])
 @pytest.mark.parametrize("policy", POLICIES)
 def test_registry_resolved_matches_reference(policy, seed):
-    """The registry path is the make_policy path: resolving a paper
+    """The registry path is the paper's emulation: resolving a paper
     policy by name yields decisions byte-identical to the frozen
-    reference engine — the tentpole's no-regression guarantee."""
-    from repro.scheduling.registry import REGISTRY
-
+    reference engine driven by the §4.3.2 configuration built by hand."""
     assert_equivalent(
         ElasticPolicyEngine(TOTAL_SLOTS, REGISTRY.resolve(policy)),
-        ReferenceElasticPolicyEngine(TOTAL_SLOTS, make_policy(policy)),
+        ReferenceElasticPolicyEngine(TOTAL_SLOTS, PAPER_EMULATIONS[policy]()),
         seed,
     )
 
 
 def test_decision_log_gating_does_not_change_decisions():
     """keep_decision_log=False only empties the log, never the decisions."""
-    logged = ElasticPolicyEngine(TOTAL_SLOTS, make_policy("elastic"))
-    gated = ElasticPolicyEngine(TOTAL_SLOTS, make_policy("elastic"))
+    logged = ElasticPolicyEngine(TOTAL_SLOTS, REGISTRY.resolve("elastic"))
+    gated = ElasticPolicyEngine(TOTAL_SLOTS, REGISTRY.resolve("elastic"))
     gated.keep_decision_log = False
     assert drive(logged, seed=3) == drive(gated, seed=3)
     assert gated.decision_log == []

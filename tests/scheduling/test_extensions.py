@@ -1,37 +1,46 @@
-"""Tests for the §3.2.2 policy extensions: aging and preemption."""
+"""Tests for the §3.2.2 policy extensions: the ``aging`` and
+``preemptive`` registry residents (hook stages of the one engine)."""
+
+import dataclasses
 
 import pytest
 
-from repro.scheduling import JobState, PolicyConfig, StartJob
-from repro.scheduling.extensions import (
-    AgingPolicyEngine,
+from repro.scheduling import (
+    REGISTRY,
+    Aging,
+    ElasticPolicyEngine,
+    EnqueueJob,
+    JobState,
+    PolicyConfig,
     PreemptJob,
-    PreemptivePolicyEngine,
     ResumeJob,
+    StartJob,
 )
 from tests.scheduling.conftest import req
 
 
 class TestAging:
     def make(self, aging_interval=100.0):
-        return AgingPolicyEngine(
-            64, PolicyConfig(rescale_gap=0.0), aging_interval=aging_interval,
+        return ElasticPolicyEngine(64, REGISTRY.resolve(
+            "aging", rescale_gap=0.0, aging_interval=aging_interval,
             max_priority=10,
-        )
+        ))
 
     def test_effective_priority_grows_while_queued(self):
         policy = self.make(aging_interval=100.0)
+        aging = policy.config.aging
         policy.on_submit(req("blocker", 32, 64, priority=5), 0.0)  # 64 slots
         policy.on_submit(req("starving", 32, 32, priority=1), 10.0)
         job = policy.job("starving")
-        assert policy.effective_priority(job, 10.0) == 1
-        assert policy.effective_priority(job, 210.0) == 3
-        assert policy.effective_priority(job, 5000.0) == 10  # capped
+        assert aging.effective_priority(job, 10.0) == 1
+        assert aging.effective_priority(job, 210.0) == 3
+        assert aging.effective_priority(job, 5000.0) == 10  # capped
 
     def test_running_jobs_do_not_age(self):
         policy = self.make()
         policy.on_submit(req("runner", 2, 8, priority=2), 0.0)
-        assert policy.effective_priority(policy.job("runner"), 10_000.0) == 2
+        job = policy.job("runner")
+        assert policy.config.aging.effective_priority(job, 10_000.0) == 2
 
     def test_aged_job_jumps_the_queue(self):
         policy = self.make(aging_interval=100.0)
@@ -44,9 +53,7 @@ class TestAging:
         assert starts[0].job.name == "old-low"
 
     def test_without_aging_the_low_priority_job_starves(self):
-        from repro.scheduling import ElasticPolicyEngine
-
-        policy = ElasticPolicyEngine(64, PolicyConfig(rescale_gap=0.0))
+        policy = ElasticPolicyEngine(64, REGISTRY.resolve("elastic", rescale_gap=0.0))
         policy.on_submit(req("blocker", 32, 64, priority=5), 0.0)
         policy.on_submit(req("old-low", 32, 32, priority=1), 10.0)
         policy.on_submit(req("new-high", 32, 32, priority=3), 800.0)
@@ -55,13 +62,13 @@ class TestAging:
         assert starts[0].job.name == "new-high"
 
     def test_bad_interval_rejected(self):
-        with pytest.raises(ValueError):
-            AgingPolicyEngine(64, aging_interval=0.0)
+        with pytest.raises(ValueError, match="policy 'custom'"):
+            PolicyConfig(name="custom", aging=Aging(interval=0.0, max_priority=10))
 
 
 class TestPreemption:
     def make(self):
-        return PreemptivePolicyEngine(64, PolicyConfig(rescale_gap=0.0))
+        return ElasticPolicyEngine(64, REGISTRY.resolve("preemptive", rescale_gap=0.0))
 
     def test_preempts_rigid_low_priority_victim(self):
         policy = self.make()
@@ -69,11 +76,10 @@ class TestPreemption:
         policy.on_submit(req("low-a", 32, 32, priority=1), 0.0)
         policy.on_submit(req("low-b", 32, 32, priority=1), 0.0)
         decisions = policy.on_submit(req("high", 32, 32, priority=5), 10.0)
-        kinds = [type(d).__name__ for d in decisions]
-        assert "PreemptJob" in kinds
-        assert isinstance(decisions[-1], StartJob)
+        assert [type(d).__name__ for d in decisions] == ["PreemptJob", "StartJob"]
         assert policy.job("high").state == JobState.RUNNING
         assert policy.job("low-b").state == JobState.QUEUED
+        assert policy.job("low-b").last_action == 10.0
         assert policy.free_slots >= 0
 
     def test_no_preemption_for_equal_priority(self):
@@ -111,16 +117,75 @@ class TestPreemption:
         assert "ShrinkJob" in kinds
         assert "PreemptJob" not in kinds
 
+    def test_decision_log_is_exactly_what_the_engine_returned(self):
+        """A preempting arrival is logged once: no phantom EnqueueJob."""
+        policy = self.make()
+        returned = []
+        returned += policy.on_submit(req("low-a", 32, 32, priority=1), 0.0)
+        returned += policy.on_submit(req("low-b", 16, 32, priority=1), 0.0)
+        returned += policy.on_submit(req("high", 32, 32, priority=5), 10.0)
+        returned += policy.on_complete("high", 500.0)
+        returned += policy.on_complete("low-a", 600.0)
+        assert policy.decision_log == returned
+        high = [d for d in policy.decision_log if d.job.name == "high"]
+        assert [type(d) for d in high] == [StartJob]
+
+
+def power_capped_preemptive(budget_watts=12_000.0):
+    """The power-capped scenario with the preemption stage switched on."""
+    return dataclasses.replace(
+        REGISTRY.resolve(
+            "power-capped", rescale_gap=0.0, budget_watts=budget_watts
+        ),
+        preemption=True,
+    )
+
+
+def live_watts(policy):
+    cons = policy._constraint
+    return sum(j.replicas * cons.weight(j.request) for j in policy.running)
+
+
+class TestPreemptionUnderPowerCap:
+    def test_budget_tracks_live_draw_after_every_event(self):
+        policy = ElasticPolicyEngine(64, power_capped_preemptive())
+        events = [
+            lambda: policy.on_submit(
+                req("low-a", 32, 32, priority=1, watts_per_replica=100.0), 0.0),
+            lambda: policy.on_submit(
+                req("low-b", 32, 32, priority=1, watts_per_replica=100.0), 0.0),
+            lambda: policy.on_submit(
+                req("high", 32, 32, priority=5, watts_per_replica=100.0), 10.0),
+            lambda: policy.on_complete("high", 500.0),
+            lambda: policy.on_complete("low-a", 600.0),
+        ]
+        kinds = []
+        for event in events:
+            kinds += [type(d) for d in event()]
+            assert policy._constraint.used == live_watts(policy)
+        assert PreemptJob in kinds and ResumeJob in kinds
+        assert [j.name for j in policy.running] == ["low-b"]
+
+    def test_post_preemption_start_is_capped_by_the_budget(self):
+        policy = ElasticPolicyEngine(64, power_capped_preemptive(6_400.0))
+        policy.on_submit(
+            req("low-a", 32, 32, priority=1, watts_per_replica=100.0), 0.0)
+        policy.on_submit(
+            req("low-b", 32, 32, priority=1, watts_per_replica=100.0), 0.0)
+        # Slots free up, but 32 × 300 W can never fit in 6.4 kW.
+        decisions = policy.on_submit(
+            req("high", 32, 32, priority=5, watts_per_replica=300.0), 10.0)
+        assert [type(d) for d in decisions] == [PreemptJob, EnqueueJob]
+        assert policy.job("high").state == JobState.QUEUED
+        assert policy._constraint.used == live_watts(policy)
+
 
 class TestSimulatorIntegration:
     def test_preemption_round_trip_in_simulator(self):
         from repro.schedsim import ScheduleSimulator
         from tests.schedsim.test_simulator import submission
 
-        sim = ScheduleSimulator(
-            PolicyConfig(name="elastic-preempt", rescale_gap=0.0),
-            policy_engine_cls=PreemptivePolicyEngine,
-        )
+        sim = ScheduleSimulator(REGISTRY.resolve("preemptive", rescale_gap=0.0))
         subs = [
             submission("v1", "large", time=0.0, priority=1),
             submission("v2", "large", time=0.0, priority=1),
@@ -138,13 +203,22 @@ class TestSimulatorIntegration:
         from repro.schedsim import ScheduleSimulator
         from tests.schedsim.test_simulator import submission
 
-        sim = ScheduleSimulator(
-            PolicyConfig(name="elastic-aging", rescale_gap=180.0),
-            policy_engine_cls=lambda slots, cfg: AgingPolicyEngine(
-                slots, cfg, aging_interval=120.0
-            ),
-        )
+        sim = ScheduleSimulator(REGISTRY.resolve("aging", aging_interval=120.0))
         subs = [submission(f"j{i}", "medium", time=i * 30.0, priority=1 + i % 5)
                 for i in range(8)]
         result = sim.run(subs)
         assert len(result.outcomes) == 8
+
+    @pytest.mark.parametrize("policy", ["aging", "preemptive"])
+    def test_residents_complete_on_a_spot_fleet(self, policy):
+        from repro.cloud import CloudScenario, run_cloud_once
+
+        result = run_cloud_once(
+            policy, "queue",
+            CloudScenario(initial_nodes=2, min_nodes=2, max_nodes=4,
+                          spot_nodes=2, spot_mean_lifetime=1200.0),
+            seed=7, num_jobs=20, submission_gap=30.0,
+        )
+        assert result.cost.interruptions > 0
+        assert result.metrics.job_count == 20
+        assert result.metrics.policy == policy

@@ -33,6 +33,12 @@ class TestPolicyConfigValidation:
         with pytest.raises(ValueError, match="launcher_slots"):
             PolicyConfig(launcher_slots=-1)
 
+    def test_rejects_malformed_extension_stages(self):
+        with pytest.raises(ValueError, match="aging must be an Aging stage"):
+            PolicyConfig(aging=600.0)
+        with pytest.raises(ValueError, match="preemption must be a bool"):
+            PolicyConfig(preemption="yes")
+
     def test_rejects_fractional_launcher_slots(self):
         with pytest.raises(ValueError, match="launcher_slots"):
             PolicyConfig(launcher_slots=0.5)

@@ -11,7 +11,7 @@ import warnings
 import pytest
 
 from repro.errors import SchedulingError
-from repro.scheduling import ElasticPolicyEngine, PolicyConfig, make_policy
+from repro.scheduling import Aging, ElasticPolicyEngine, PolicyConfig
 from repro.scheduling.registry import (
     REGISTRY,
     PolicyRegistrationError,
@@ -93,8 +93,8 @@ class TestRegistration:
             registry.describe("missing")
 
     def test_errors_are_scheduling_and_value_errors(self):
-        """make_policy's documented ValueError contract must survive the
-        shim, and repro's blanket SchedulingError handling must apply."""
+        """Bad policy input is a ValueError, and repro's blanket
+        SchedulingError handling must apply."""
         assert issubclass(UnknownPolicyError, SchedulingError)
         assert issubclass(UnknownPolicyError, ValueError)
         assert issubclass(PolicyRegistrationError, SchedulingError)
@@ -111,7 +111,8 @@ class TestGlobalRegistry:
 
     def test_new_schedulers_registered(self):
         names = REGISTRY.list_policies()
-        for name in ("ewt", "prb", "easy-backfill", "power-capped"):
+        for name in ("ewt", "prb", "easy-backfill", "power-capped",
+                     "aging", "preemptive"):
             assert name in names
             assert not REGISTRY.describe(name).paper
 
@@ -119,11 +120,22 @@ class TestGlobalRegistry:
         names = REGISTRY.list_policies()
         assert names[:4] == list(REGISTRY.paper_policies())
 
-    def test_make_policy_shim_warns_and_matches_resolve(self):
-        with pytest.warns(DeprecationWarning, match="registry"):
-            shimmed = make_policy("elastic", rescale_gap=90.0)
-        direct = REGISTRY.resolve("elastic", rescale_gap=90.0)
-        assert shimmed == direct
+    def test_extension_residents_resolve_to_stages(self):
+        aging = REGISTRY.resolve("aging", aging_interval=300.0, max_priority=7)
+        assert aging.aging == Aging(interval=300.0, max_priority=7)
+        assert not aging.preemption
+        preemptive = REGISTRY.resolve("preemptive", rescale_gap=60.0)
+        assert preemptive.preemption and preemptive.aging is None
+        assert preemptive.rescale_gap == 60.0
+        # The paper's policies carry neither stage.
+        for name in REGISTRY.paper_policies():
+            config = REGISTRY.resolve(name)
+            assert config.aging is None and not config.preemption
+
+    @pytest.mark.parametrize("interval", [0.0, -60.0, float("nan")])
+    def test_nonpositive_aging_interval_names_the_policy(self, interval):
+        with pytest.raises(ValueError, match="policy 'aging': aging interval"):
+            REGISTRY.resolve("aging", aging_interval=interval)
 
     def test_resolved_config_drives_an_engine(self, request_factory):
         engine = ElasticPolicyEngine(8, REGISTRY.resolve("elastic"))
@@ -269,8 +281,7 @@ def test_trial_cache_salt_folds_in_external_policies(tmp_path, monkeypatch):
 
 
 def test_registry_demo_pattern_with_warning_free_resolve(recwarn):
-    """resolve() itself must not emit deprecation noise (only the
-    make_policy shim does)."""
+    """resolve() itself must not emit deprecation noise."""
     warnings.simplefilter("always")
     REGISTRY.resolve("elastic")
     assert not [w for w in recwarn if w.category is DeprecationWarning]

@@ -11,7 +11,7 @@ every scheduling event.
 import pytest
 
 from repro.schedsim import ScheduleSimulator
-from repro.scheduling import make_policy
+from repro.scheduling import REGISTRY
 from repro.scheduling.elastic import ElasticPolicyEngine
 from repro.workloads import PoissonArrivals, SyntheticWorkload, UniformMix
 
@@ -55,11 +55,11 @@ def test_50k_job_trace_keeps_engine_memory_bounded():
     # Rate 0.02 keeps the cluster in steady state (live set ~tens of
     # jobs), so an O(workload) leak anywhere shows up as a huge margin.
     source = SyntheticWorkload(N_JOBS, PoissonArrivals(0.02), UniformMix(), seed=13)
-    simulator = ScheduleSimulator(
-        make_policy("elastic"),
-        total_slots=256,
-        policy_engine_cls=AuditingPolicyEngine,
-    )
+    config = REGISTRY.resolve("elastic")
+    simulator = ScheduleSimulator(config, total_slots=256)
+    # The audit wraps the simulator's engine: swap in an auditing one
+    # before any event reaches it.
+    simulator.policy = AuditingPolicyEngine(256, config)
     result = simulator.run(source.submissions(), retain="metrics")
     policy = simulator.policy
 
