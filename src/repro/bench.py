@@ -277,12 +277,15 @@ def run_bench(
         say(f"simulator, {n} jobs...")
         results[f"simulator_{n}"] = bench_simulator(n)
     # One registry-resolved non-paper policy row: EASY backfilling runs
-    # the hooked paths (_submit_constrained + _redistribute_scan),
-    # so a slowdown there is caught by the same normalized gate as the
-    # paper hot path.  Capped at 2k jobs: the Figure-3 scan EASY requires
-    # is O(backlog) per completion by design, so its wall time grows
-    # super-linearly on this saturating stream — 2k keeps the row at
-    # roughly one paper-row's cost while still building a deep backlog.
+    # the hooked paths (_submit_constrained, and the indexed Figure-3
+    # walk with its backfill gate and O(1) shadow-time admission), so a
+    # slowdown there is caught by the same normalized gate as the paper
+    # hot path.  Capped at 2k jobs: once a queued job is passed over,
+    # every later queued candidate of the walk still costs one gate
+    # call, so the walk stays O(backlog) per completion and its wall
+    # time grows super-linearly on this saturating stream — 2k keeps the
+    # row at roughly one paper-row's cost while still building a deep
+    # backlog.
     easy_n = min(2_000, max(sizes))
     say(f"simulator (easy-backfill), {easy_n} jobs...")
     results[f"simulator_easy_{easy_n}"] = bench_simulator(

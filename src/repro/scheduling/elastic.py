@@ -132,6 +132,10 @@ class ElasticPolicyEngine:
         #: Slots held by running jobs (workers + launcher reservations),
         #: maintained incrementally by every transition.
         self._used_slots: int = 0
+        #: Bumped by every transition that moves ``_used_slots`` or
+        #: ``total_slots``, so a backfill rule can key per-state caches
+        #: on it (EASY's shadow time) and never reuse one stale.
+        self._transitions: int = 0
         # During the Figure-3 walk, queue→running moves are recorded here
         # and applied after the walk (the walk's block pointers must not
         # see structural mutations mid-flight).
@@ -624,6 +628,7 @@ class ElasticPolicyEngine:
         self.running.remove(job)
         freed = job.replicas + self.config.launcher_slots
         self._used_slots -= freed
+        self._transitions += 1
         if self._constraint is not None:
             self._constraint.charge(job.request, -job.replicas)
         job.replicas = 0
@@ -668,22 +673,25 @@ class ElasticPolicyEngine:
         ``last_action``).  A skipped running candidate would have emitted
         nothing and consumed no budget, so the emitted decision sequence
         is exactly the literal scan's (:meth:`_redistribute_scan`, which
-        the hooked stages still use).
+        now serves only the capacity-constraint and aging stages).
+
+        A backfill stage rides on the same walk: ``passed`` records that
+        a queued job was left waiting upstream — its block skipped on
+        ``min_needed``, the job itself priced out by the budget, or held
+        by the rescale gap — and from then on every queued start must
+        pass ``backfill.allows``, exactly as in the literal scan.
         """
         if self._obs is not None:
             self._obs_redistributes.inc()
-        if (
-            self._constraint is not None
-            or self._backfill is not None
-            or self._aging is not None
-        ):
-            # Hooked policies take the literal scan: constraint caps,
-            # backfill gates and aged (time-dependent) priorities are
-            # per-candidate state the block aggregates cannot express.
-            # Hook-free configs never reach this branch.
+        if self._constraint is not None or self._aging is not None:
+            # Constraint caps and aged (time-dependent) priorities are
+            # per-candidate state the block aggregates cannot express:
+            # those two stages take the literal scan.
             return self._redistribute_scan(num_workers, now, decisions)
         reserve = self.config.launcher_slots
         gap = self.config.rescale_gap
+        backfill = self._backfill
+        passed = False  # a queued job was left waiting upstream
         qblocks = self.queue.blocks
         rblocks = self.running.blocks
         nq = len(qblocks)
@@ -711,6 +719,7 @@ class ElasticPolicyEngine:
                     qb += 1
                     qi = 0
                     qskips += 1
+                    passed = True
                     continue
                 jobs = block.jobs
                 jn = len(jobs)
@@ -721,6 +730,7 @@ class ElasticPolicyEngine:
                         queued_key = candidate.sort_key
                         break
                     qi += 1
+                    passed = True
                 if queued is None:
                     qb += 1
                     qi = 0
@@ -768,15 +778,19 @@ class ElasticPolicyEngine:
                 queued = None
                 qi += 1  # the walk moves past this candidate either way
                 request = candidate.request
-                if (
-                    now - candidate.last_action >= gap
-                    and candidate.replicas < request.max_replicas
-                ):
+                if now - candidate.last_action < gap:
+                    passed = True
+                elif candidate.replicas < request.max_replicas:
                     # Starting a queued job also needs its launcher slot.
                     add = num_workers - reserve
                     if add > request.max_replicas:
                         add = request.max_replicas
-                    if add >= request.min_replicas:
+                    # A gate refusal leaves ``passed`` set: it already was.
+                    if add >= request.min_replicas and (
+                        backfill is None
+                        or not passed
+                        or backfill.allows(self, candidate, add, now)
+                    ):
                         decisions.append(self._start_queued(candidate, add, now))
                         num_workers -= add + reserve
         if self._obs is not None:
@@ -791,9 +805,11 @@ class ElasticPolicyEngine:
         """The literal Figure-3 scan over :meth:`_candidates_by_priority`.
 
         Kept as the reference shape of the walk — and as the live path
-        for the hook stages, including aging, whose time-dependent
-        candidate order block aggregates keyed on static priority cannot
-        follow.
+        for the capacity-constraint and aging stages only: constraint
+        caps are per-candidate state, and aging's time-dependent
+        candidate order is one block aggregates keyed on static priority
+        cannot follow.  Backfill-only configs take the indexed
+        :meth:`_redistribute`.
         """
         reserve = self.config.launcher_slots
         gap = self.config.rescale_gap
@@ -863,6 +879,7 @@ class ElasticPolicyEngine:
         if slots <= 0:
             raise CapacityError(f"capacity growth must be positive, got {slots}")
         self.total_slots += slots
+        self._transitions += 1
         return self.rebalance(now)
 
     def shrink_capacity(
@@ -914,6 +931,7 @@ class ElasticPolicyEngine:
                 decisions.append(self._requeue(candidate, now))
         removed = min(slots, self.free_slots)
         self.total_slots -= removed
+        self._transitions += 1
         return removed, self._log(decisions)
 
     def eviction_candidates(self, slots: int) -> List[SchedulerJob]:
@@ -989,17 +1007,17 @@ class ElasticPolicyEngine:
         self.running.remove(job)
         released = job.replicas
         self._used_slots -= released + self.config.launcher_slots
+        self._transitions += 1
         if self._constraint is not None:
             self._constraint.charge(job.request, -released)
         job.replicas = 0
-        job.state = JobState.QUEUED
         if preempt:
             job.last_action = now
             self._preempted.add(job.name)
-            self.queue.add(job)
+            self._enqueue(job)
             return PreemptJob(job=job, released_replicas=released)
         job.last_action = -math.inf
-        self.queue.add(job)
+        self._enqueue(job)
         return RequeueJob(job=job, released_replicas=released)
 
     # ------------------------------------------------------------------
@@ -1019,6 +1037,7 @@ class ElasticPolicyEngine:
         actual = int(actual_replicas)
         old = job.replicas
         self._used_slots += actual - job.replicas
+        self._transitions += 1
         if self._constraint is not None and actual != old:
             self._constraint.charge(job.request, actual - old)
         job.replicas = actual
@@ -1067,6 +1086,7 @@ class ElasticPolicyEngine:
         if job.start_time is None:
             job.start_time = now
         self._used_slots += taken
+        self._transitions += 1
         return StartJob(job=job, replicas=replicas)
 
     def _start(self, job: SchedulerJob, replicas: int, now: float) -> StartJob:
@@ -1097,6 +1117,8 @@ class ElasticPolicyEngine:
         # NOTE: lastAction deliberately untouched (see module docstring).
         job.state = JobState.QUEUED
         self.queue.add(job)
+        if self._backfill is not None:
+            self._backfill.on_queued(job)
         return EnqueueJob(job=job)
 
     def _shrink(self, job: SchedulerJob, new_replicas: int, now: float) -> Optional[ShrinkJob]:
@@ -1109,6 +1131,7 @@ class ElasticPolicyEngine:
         job.last_action = now
         job.rescale_count += 1
         self._used_slots -= old - new_replicas
+        self._transitions += 1
         if self._constraint is not None:
             self._constraint.charge(job.request, new_replicas - old)
         self.running.rescaled(job, old)
@@ -1121,6 +1144,7 @@ class ElasticPolicyEngine:
         job.last_action = now
         job.rescale_count += 1
         self._used_slots += new_replicas - old
+        self._transitions += 1
         if self._constraint is not None:
             self._constraint.charge(job.request, new_replicas - old)
         self.running.rescaled(job, old)

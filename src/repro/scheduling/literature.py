@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .job import JobRequest, JobState, SchedulerJob, priority_order_key
 from .policies import DEFAULT_RESCALE_GAP
@@ -122,7 +122,26 @@ class EasyBackfill:
     head, or every waiting job when ``conservative``) each get the
     earliest time enough slots accumulate for their minimum size.  A
     backfill candidate is admitted only if every reservation computed
-    *with* the candidate running is no later than *without* it.
+    *with* the candidate running is no later than *without* it (within
+    a ``1e-9`` s tolerance).
+
+    The aggressive variant decides by the **shadow rule** in O(1) per
+    candidate.  Sorting the release profile once per engine state gives
+    the head's *shadow time* ``S`` (its reservation without the
+    candidate), ``extra`` — free slots plus every release at or before
+    ``S``, minus the head's need — and ``extra_eps``, the same sum up to
+    ``S + 1e-9``.  A candidate finishing by ``S``, or whose slots fit in
+    ``extra``, leaves the reservation at exactly ``S``: removing its
+    slots lowers the free-slot curve only before its own release.  A
+    candidate failing both tests that would pass either one at
+    ``S + 1e-9`` lies in the *tolerance band*: it may be admitted with a
+    reservation slightly past ``S``, so there (and only there) the
+    two-projection check settles it, keeping every verdict and recorded
+    reservation identical to the projection's.  Everything else is
+    refused.  The shadow is cached per (engine, transition counter,
+    ``now``, head): any start, rescale, completion or capacity change
+    bumps the engine's counter, so a cached shadow is never stale.  The
+    conservative variant always runs the projection chain.
 
     ``last_reservations`` keeps the most recent with-candidate
     projection (job name → reserved start time).  Only the *head* entry
@@ -131,6 +150,11 @@ class EasyBackfill:
     sizing may start an earlier job wider and push later waiters out —
     so ``last_head_reservations`` tracks the head entries alone, and the
     property suite asserts heads actually start by their reserved times.
+    A reservation protects its job only while it is the head: once a
+    higher-ranked job is queued ahead of a still-waiting head
+    (:meth:`on_queued`) or starts ahead of it, the head's entry is void
+    and is dropped from both maps — bookkeeping only, no decision
+    reads them.
     """
 
     #: Estimate-memo epoch bound: cleared wholesale at this size, so
@@ -142,6 +166,10 @@ class EasyBackfill:
         self.last_reservations: Dict[str, float] = {}
         self.last_head_reservations: Dict[str, float] = {}
         self._est_cache: Dict[Tuple[int, int], Tuple[JobRequest, float]] = {}
+        #: The head the last reservation was recorded for.
+        self._head: Optional[SchedulerJob] = None
+        #: (engine, transition counter, now, head, S, extra, extra_eps).
+        self._shadow_memo: Optional[tuple] = None
 
     def _estimate(self, request: JobRequest, replicas: int) -> float:
         # Keyed by identity (requests carry an unhashable params dict);
@@ -178,7 +206,58 @@ class EasyBackfill:
                 if not self.conservative:
                     break
         if not ahead:
+            self._overtaken_by(job)
             return True  # starting the head is never a backfill
+        head = ahead[0]
+        if not self.conservative:
+            shadow, extra, extra_eps = self._shadow(engine, head, now)
+            finish = now + self._estimate(job.request, replicas)
+            need = replicas + engine.config.launcher_slots
+            if finish <= shadow or need <= extra:
+                self._record(head, {head.name: shadow})
+                return True
+            if not (finish <= shadow + 1e-9 or need <= extra_eps):
+                return False
+            # Tolerance band: the reservation may land in (S, S + 1e-9].
+        trial = self._project_with(engine, ahead, job, replicas, now)
+        if trial is None:
+            return False
+        self._record(head, trial)
+        return True
+
+    def on_queued(self, job: SchedulerJob) -> None:
+        self._overtaken_by(job)
+
+    def _overtaken_by(self, job: SchedulerJob) -> None:
+        """Void the recorded head's reservation if ``job`` outranks it
+        while the head is still waiting."""
+        head = self._head
+        if (
+            head is not None
+            and head is not job
+            and head.state == JobState.QUEUED
+            and priority_order_key(job) < priority_order_key(head)
+        ):
+            self.last_reservations.pop(head.name, None)
+            self.last_head_reservations.pop(head.name, None)
+            self._head = None
+
+    def _record(self, head: SchedulerJob, trial: Dict[str, float]) -> None:
+        self._head = head
+        self.last_reservations.update(trial)
+        self.last_head_reservations[head.name] = trial[head.name]
+
+    def _project_with(
+        self,
+        engine,
+        ahead: List[SchedulerJob],
+        job: SchedulerJob,
+        replicas: int,
+        now: float,
+    ) -> Optional[Dict[str, float]]:
+        """The two-projection check: the reservations of ``ahead`` with
+        ``job`` running on ``replicas``, or ``None`` when any of them
+        lands more than ``1e-9`` s later than without it."""
         launcher = engine.config.launcher_slots
         free, releases = self._release_profile(engine, now, launcher)
         base = self._project(ahead, free, list(releases), now, launcher)
@@ -187,13 +266,55 @@ class EasyBackfill:
         trial = self._project(ahead, free - need, releases, now, launcher)
         for name, reserved_at in trial.items():
             if reserved_at > base[name] + 1e-9:
-                return False
-        self.last_reservations.update(trial)
-        head = ahead[0].name
-        self.last_head_reservations[head] = trial[head]
-        return True
+                return None
+        return trial
 
     # -- the shadow-profile projection ---------------------------------
+
+    def _shadow(
+        self, engine, head: SchedulerJob, now: float
+    ) -> Tuple[float, int, int]:
+        """``(S, extra, extra_eps)`` for ``head`` — see the class docstring.
+
+        Memoized on the engine's transition counter: every candidate of
+        one walk between two starts shares one sort of the profile.
+        """
+        counter = engine._transitions
+        memo = self._shadow_memo
+        if (
+            memo is not None
+            and memo[0] is engine
+            and memo[1] == counter
+            and memo[2] == now
+            and memo[3] is head
+        ):
+            return memo[4], memo[5], memo[6]
+        launcher = engine.config.launcher_slots
+        free, releases = self._release_profile(engine, now, launcher)
+        releases.sort()
+        need = head.request.min_replicas + launcher
+        n = len(releases)
+        i = 0
+        avail = free
+        shadow = now
+        while avail < need and i < n:
+            shadow, slots = releases[i]
+            avail += slots
+            i += 1
+        if avail < need:
+            shadow = math.inf  # can never start in this profile
+        while i < n and releases[i][0] <= shadow:
+            avail += releases[i][1]
+            i += 1
+        extra = avail - need
+        limit = shadow + 1e-9
+        while i < n and releases[i][0] <= limit:
+            avail += releases[i][1]
+            i += 1
+        extra_eps = avail - need
+        self._shadow_memo = (engine, counter, now, head, shadow, extra,
+                             extra_eps)
+        return shadow, extra, extra_eps
 
     def _release_profile(
         self, engine, now: float, launcher: int
@@ -202,8 +323,6 @@ class EasyBackfill:
         job — including pending starts deferred mid-walk (the engine
         parks them on ``_pending_starts`` while they are still
         physically in the queue; their slots are already charged).
-        Shared by the with- and without-candidate projections so each
-        ``allows`` prices the running set once.
         """
         releases: List[Tuple[float, int]] = []
 
@@ -217,7 +336,7 @@ class EasyBackfill:
 
         for record in engine.running:
             releases.append((finish(record), record.replicas + launcher))
-        pending = getattr(engine, "_pending_starts", None)
+        pending = engine._pending_starts
         if pending:
             for record in pending:
                 releases.append((finish(record), record.replicas + launcher))

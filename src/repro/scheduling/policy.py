@@ -138,6 +138,11 @@ class BackfillRule(Protocol):
         """True if ``job`` may start with ``replicas`` workers at ``now``."""
         ...
 
+    def on_queued(self, job: SchedulerJob) -> None:
+        """Notification: ``job`` entered the queue (an arrival that could
+        not start, or a running job preempted or evicted back to it)."""
+        ...
+
 
 @runtime_checkable
 class CapacityConstraint(Protocol):
@@ -318,10 +323,11 @@ class PolicyConfig:
             fail("shrink_filter must be callable or None")
         if self.priority_rule is not None and not callable(self.priority_rule):
             fail("priority_rule must be callable or None")
-        if self.backfill is not None and not callable(
-            getattr(self.backfill, "allows", None)
+        if self.backfill is not None and not all(
+            callable(getattr(self.backfill, hook, None))
+            for hook in ("allows", "on_queued")
         ):
-            fail("backfill must provide an allows() method or be None")
+            fail("backfill must provide allows() and on_queued() or be None")
         if self.capacity_constraint is not None and not callable(
             self.capacity_constraint
         ):

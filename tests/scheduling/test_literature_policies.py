@@ -10,7 +10,7 @@ reserved queue head past its recorded reservation.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.scheduling import ElasticPolicyEngine, JobRequest
@@ -128,9 +128,58 @@ class TestEasyBackfillUnit:
 
     def test_exact_fit_candidate_admitted(self):
         """Finishing exactly at the reservation does not delay it."""
-        engine, _ = self.setup_engine()
+        engine, rule = self.setup_engine()
         decisions = engine.on_submit(est_req("c", 3, 3, 99.0), 1.0)
         assert [d.job.name for d in decisions] == ["c"]
+        assert rule.last_head_reservations["h"] == 100.0
+
+    def test_long_candidate_fitting_the_spare_slots_admitted(self):
+        """At the shadow time 8 slots free up and the head needs 5:
+        a 3-wide candidate fits the 3 spare ones however long it runs."""
+        config = REGISTRY.resolve("easy-backfill")
+        engine = ElasticPolicyEngine(8, config)
+        engine.on_submit(est_req("a", 4, 4, 100.0), 0.0)
+        engine.on_submit(est_req("h", 5, 5, 100.0), 0.0)
+        decisions = engine.on_submit(est_req("c", 3, 3, 10_000.0), 1.0)
+        assert [d.job.name for d in decisions] == ["c"]
+        assert config.backfill.last_head_reservations["h"] == 100.0
+
+    def test_candidate_inside_the_tolerance_band_admitted(self):
+        """Finishing in (S, S + 1e-9] is admitted, and the recorded
+        reservation is the candidate's own release, not S."""
+        engine, rule = self.setup_engine()
+        est = 99.0 + 5e-10
+        decisions = engine.on_submit(est_req("c", 3, 3, est), 1.0)
+        assert [d.job.name for d in decisions] == ["c"]
+        reserved = rule.last_head_reservations["h"]
+        assert reserved == 1.0 + est
+        assert 100.0 < reserved <= 100.0 + 1e-9
+
+    def test_candidate_past_the_tolerance_band_rejected(self):
+        engine, rule = self.setup_engine()
+        decisions = engine.on_submit(est_req("c", 3, 3, 99.0 + 2e-9), 1.0)
+        assert [type(d).__name__ for d in decisions] == ["EnqueueJob"]
+        assert "h" not in rule.last_head_reservations
+
+    def test_head_that_can_never_start_blocks_nothing(self):
+        """A head wider than the cluster has shadow time S = inf."""
+        config = REGISTRY.resolve("easy-backfill")
+        engine = ElasticPolicyEngine(8, config)
+        engine.on_submit(est_req("h", 10, 10, 100.0), 0.0)
+        decisions = engine.on_submit(est_req("c", 3, 3, 1e6), 1.0)
+        assert [d.job.name for d in decisions] == ["c"]
+        assert config.backfill.last_head_reservations["h"] == math.inf
+
+    def test_overtaken_head_reservation_is_dropped(self):
+        """A higher-priority arrival queued ahead of the reserved head
+        becomes the head; the old reservation no longer binds."""
+        engine, rule = self.setup_engine()
+        engine.on_submit(est_req("c", 3, 3, 50.0), 1.0)
+        assert "h" in rule.last_head_reservations
+        engine.on_submit(est_req("x", 6, 6, 100.0, priority=5), 2.0)
+        assert [j.name for j in engine.queue] == ["x", "h"]
+        assert "h" not in rule.last_head_reservations
+        assert "h" not in rule.last_reservations
 
     def test_starting_the_head_is_never_a_backfill(self):
         config = REGISTRY.resolve("easy-backfill")
@@ -169,6 +218,11 @@ class TestEasyNeverDelaysHead:
         num_jobs=st.integers(min_value=4, max_value=12),
         gap=st.sampled_from([0.0, 30.0, 90.0]),
     )
+    # Higher-priority arrivals overtook a still-queued reserved head:
+    # queued ahead of it and later started first (77), or started
+    # first with no backfill recorded in between (6576).
+    @example(seed=77, num_jobs=11, gap=0.0)
+    @example(seed=6576, num_jobs=9, gap=30.0)
     def test_heads_start_by_their_reserved_times(self, seed, num_jobs, gap):
         config = REGISTRY.resolve("easy-backfill")
         rule = config.backfill

@@ -39,6 +39,14 @@ class TestPolicyConfigValidation:
         with pytest.raises(ValueError, match="preemption must be a bool"):
             PolicyConfig(preemption="yes")
 
+    def test_rejects_incomplete_backfill_rule(self):
+        class GateOnly:
+            def allows(self, engine, job, replicas, now):
+                return True
+
+        with pytest.raises(ValueError, match="on_queued"):
+            PolicyConfig(backfill=GateOnly())
+
     def test_rejects_fractional_launcher_slots(self):
         with pytest.raises(ValueError, match="launcher_slots"):
             PolicyConfig(launcher_slots=0.5)
