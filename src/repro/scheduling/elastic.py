@@ -679,7 +679,15 @@ class ElasticPolicyEngine:
         a queued job was left waiting upstream — its block skipped on
         ``min_needed``, the job itself priced out by the budget, or held
         by the rescale gap — and from then on every queued start must
-        pass ``backfill.allows``, exactly as in the literal scan.
+        pass ``backfill.allows``, exactly as in the literal scan.  Once
+        ``passed`` is set the walk also asks ``backfill.refuses_all``,
+        once per value of the engine's transition counter: while it
+        holds, every queued candidate is behind a waiting job and would
+        be refused, so it is passed over without an ``allows`` call (a
+        refusal has no side effect), and with no running candidate left
+        the walk ends.  The arrival gate in :meth:`_submit_constrained`
+        keeps asking ``allows``: its job is gated before it enters the
+        queue, so the rule's queue-wide answer does not cover it.
         """
         if self._obs is not None:
             self._obs_redistributes.inc()
@@ -692,6 +700,8 @@ class ElasticPolicyEngine:
         gap = self.config.rescale_gap
         backfill = self._backfill
         passed = False  # a queued job was left waiting upstream
+        closed = False  # backfill.refuses_all() at transition gate_at
+        gate_at = None
         qblocks = self.queue.blocks
         rblocks = self.running.blocks
         nq = len(qblocks)
@@ -716,10 +726,14 @@ class ElasticPolicyEngine:
             while queued is None and qb < nq:
                 block = qblocks[qb]
                 if block.min_needed > budget:
+                    # Only unvisited members are left waiting: a block
+                    # revisited after its last member started passes
+                    # nobody over.
+                    if qi < len(block.jobs):
+                        passed = True
                     qb += 1
                     qi = 0
                     qskips += 1
-                    passed = True
                     continue
                 jobs = block.jobs
                 jn = len(jobs)
@@ -777,6 +791,14 @@ class ElasticPolicyEngine:
                 candidate = queued
                 queued = None
                 qi += 1  # the walk moves past this candidate either way
+                if passed and backfill is not None:
+                    if gate_at != self._transitions:
+                        gate_at = self._transitions
+                        closed = backfill.refuses_all(self, now)
+                    if closed:
+                        if runner is None:
+                            break  # every queued job left is refused
+                        continue
                 request = candidate.request
                 if now - candidate.last_action < gap:
                     passed = True

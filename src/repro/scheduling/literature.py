@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .job import JobRequest, JobState, SchedulerJob, priority_order_key
@@ -89,6 +90,39 @@ def estimate_runtime(request: JobRequest, replicas: int) -> float:
     return DEFAULT_RUNTIME_ESTIMATE
 
 
+def _shortest_runtime(request: JobRequest) -> float:
+    """Lower bound on :func:`estimate_runtime` of ``request`` at any size.
+
+    A size-class job runs at a size clamped into its class range, so its
+    floor is the fastest the class model gets over that range; any other
+    request has one estimate at every size.
+    """
+    params = request.params or {}
+    name = params.get("size_class") or request.size_class
+    if name is not None:
+        floor = _class_runtime_floor(name, params.get("timesteps"))
+        if floor is not None:
+            return floor
+    return estimate_runtime(request, request.min_replicas)
+
+
+@lru_cache(maxsize=256)
+def _class_runtime_floor(name: str, timesteps) -> Optional[float]:
+    """Shortest estimate of size class ``name`` over its replica range
+    (``None`` for an unknown class); memoized per class and timesteps."""
+    size_class, step_time_model = _perfmodel()
+    try:
+        cls = size_class(name)
+    except KeyError:
+        return None
+    steps = cls.timesteps if timesteps is None else timesteps
+    model = step_time_model(cls)
+    return min(
+        float(steps) * float(model(replicas))
+        for replicas in range(cls.min_replicas, cls.max_replicas + 1)
+    )
+
+
 def ewt_priority(request: JobRequest) -> float:
     """Queue-ordering stage: less estimated work ⇒ higher rank.
 
@@ -143,6 +177,19 @@ class EasyBackfill:
     bumps the engine's counter, so a cached shadow is never stale.  The
     conservative variant always runs the projection chain.
 
+    ``refuses_all`` answers for a whole engine state at once.
+    ``on_queued`` keeps two floors over every job that entered the
+    queue: ``_est_floor``, the shortest estimate any of them has at any
+    size in its range, and ``_need_floor``, the smallest
+    ``min_replicas``.  When even a job at both floors would fail both
+    tolerance-band tests against the first queued job's shadow — it
+    finishes after ``S + 1e-9`` and needs more than ``extra_eps`` —
+    ``allows`` refuses every candidate behind that job without running
+    a projection.  The floors never rise: a job that leaves the queue
+    leaves them stale-low, which only weakens the test, so they stay
+    sound — the idiom of the queue index's ``oldest_action``.  The
+    conservative variant never closes the gate.
+
     ``last_reservations`` keeps the most recent with-candidate
     projection (job name → reserved start time).  Only the *head* entry
     is a hard bound: non-head projections under ``conservative`` commit
@@ -170,6 +217,10 @@ class EasyBackfill:
         self._head: Optional[SchedulerJob] = None
         #: (engine, transition counter, now, head, S, extra, extra_eps).
         self._shadow_memo: Optional[tuple] = None
+        #: Stale-low floors over every job that entered the queue: the
+        #: shortest runtime estimate and the smallest ``min_replicas``.
+        self._est_floor = math.inf
+        self._need_floor = math.inf
 
     def _estimate(self, request: JobRequest, replicas: int) -> float:
         # Keyed by identity (requests carry an unhashable params dict);
@@ -225,8 +276,28 @@ class EasyBackfill:
         self._record(head, trial)
         return True
 
+    def refuses_all(self, engine, now: float) -> bool:
+        if self.conservative:
+            return False
+        head = next(
+            (q for q in engine.queue if q.state == JobState.QUEUED), None
+        )
+        if head is None:
+            return False
+        shadow, _, extra_eps = self._shadow(engine, head, now)
+        return (
+            now + self._est_floor > shadow + 1e-9
+            and self._need_floor + engine.config.launcher_slots > extra_eps
+        )
+
     def on_queued(self, job: SchedulerJob) -> None:
         self._overtaken_by(job)
+        request = job.request
+        est = _shortest_runtime(request)
+        if est < self._est_floor:
+            self._est_floor = est
+        if request.min_replicas < self._need_floor:
+            self._need_floor = request.min_replicas
 
     def _overtaken_by(self, job: SchedulerJob) -> None:
         """Void the recorded head's reservation if ``job`` outranks it

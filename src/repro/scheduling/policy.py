@@ -131,11 +131,24 @@ class BackfillRule(Protocol):
     a Figure-3 redistribution reaching a job behind a blocked one).  EASY
     backfilling lives here: ``allows`` returns ``False`` when the start
     would push back the reserved queue head.
+
+    ``refuses_all`` lets a Figure-3 walk close the gate once per engine
+    state instead of asking ``allows`` per queued candidate.  It may
+    return ``True`` only when ``allows(engine, job, r, now)`` would
+    return ``False`` for every queued job that has a queued job ahead of
+    it, at every ``r`` in ``[min_replicas, max_replicas]``.  The engine
+    trusts the answer until its next start, rescale, completion, requeue
+    or capacity change; ``False`` is always a correct answer.
     """
 
     def allows(self, engine, job: SchedulerJob, replicas: int,
                now: float) -> bool:
         """True if ``job`` may start with ``replicas`` workers at ``now``."""
+        ...
+
+    def refuses_all(self, engine, now: float) -> bool:
+        """True if no queued job behind the first one may start at
+        ``now`` (see the class docstring for the exact contract)."""
         ...
 
     def on_queued(self, job: SchedulerJob) -> None:
@@ -325,9 +338,12 @@ class PolicyConfig:
             fail("priority_rule must be callable or None")
         if self.backfill is not None and not all(
             callable(getattr(self.backfill, hook, None))
-            for hook in ("allows", "on_queued")
+            for hook in ("allows", "refuses_all", "on_queued")
         ):
-            fail("backfill must provide allows() and on_queued() or be None")
+            fail(
+                "backfill must provide allows(), refuses_all() and "
+                "on_queued() or be None"
+            )
         if self.capacity_constraint is not None and not callable(
             self.capacity_constraint
         ):

@@ -114,8 +114,19 @@ class TestBenchCli:
         assert "engine_200" in out
         assert "simulator_easy_200" in out  # the registry-resolved row
 
-    def test_bench_regression_gate_passes_against_self(self, capsys, tmp_path):
-        """A run gated against its own output trivially passes."""
+    def test_bench_regression_gate_passes_against_self(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """A run gated against its own output passes.
+
+        The measured document is fixed and replayed as the second run,
+        so the pass path is checked exactly, not across two wall-clock
+        runs whose gap is host noise.
+        """
+        from repro import bench
+
+        document = bench.run_bench(sizes=(200,), reference_max=0)
+        monkeypatch.setattr(bench, "run_bench", lambda **_: document)
         out_path = tmp_path / "bench.json"
         assert main(["bench", "--sizes", "200", "--reference-max", "0",
                      "--output", str(out_path)]) == 0

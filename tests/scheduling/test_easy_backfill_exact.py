@@ -172,13 +172,17 @@ class CheckedEasyBackfill(EasyBackfill):
     the candidate's slots, admitted when the former is within ``1e-9``
     s of the latter.  The fast rule must agree on the verdict and, when
     admitting, record exactly the oracle's with-candidate reservation.
+    A closed gate (``refuses_all``) must be one the oracle refuses for
+    every queued job behind the head at every size in its range; each
+    certified closure counts as one refusal.
     """
 
     def __init__(self):
         super().__init__()
         self.verdicts = {True: 0, False: 0}
 
-    def allows(self, engine, job, replicas, now):
+    def oracle(self, engine, job, replicas, now):
+        """``(head, admitted, reserved)`` by the two projections."""
         key = priority_order_key(job)
         head = next(
             (q for q in engine.queue
@@ -186,26 +190,37 @@ class CheckedEasyBackfill(EasyBackfill):
              and q.state == JobState.QUEUED),
             None,
         )
-        expected = True
-        reserved = None
-        if head is not None:
-            launcher = engine.config.launcher_slots
-            free, releases = self._release_profile(engine, now, launcher)
-            base = self._project([head], free, list(releases), now, launcher)
-            need = replicas + launcher
-            releases.append(
-                (now + self._estimate(job.request, replicas), need)
-            )
-            trial = self._project([head], free - need, releases, now,
-                                  launcher)
-            reserved = trial[head.name]
-            expected = reserved <= base[head.name] + 1e-9
+        if head is None:
+            return None, True, None
+        launcher = engine.config.launcher_slots
+        free, releases = self._release_profile(engine, now, launcher)
+        base = self._project([head], free, list(releases), now, launcher)
+        need = replicas + launcher
+        releases.append((now + self._estimate(job.request, replicas), need))
+        trial = self._project([head], free - need, releases, now, launcher)
+        reserved = trial[head.name]
+        return head, reserved <= base[head.name] + 1e-9, reserved
+
+    def allows(self, engine, job, replicas, now):
+        head, expected, reserved = self.oracle(engine, job, replicas, now)
         verdict = super().allows(engine, job, replicas, now)
         assert verdict == expected, (job.name, now)
         if head is not None and verdict:
             assert self.last_head_reservations[head.name] == reserved
         self.verdicts[verdict] += 1
         return verdict
+
+    def refuses_all(self, engine, now):
+        closed = super().refuses_all(engine, now)
+        if closed:
+            queued = [q for q in engine.queue if q.state == JobState.QUEUED]
+            for job in queued[1:]:
+                for replicas in range(job.min_replicas, job.max_replicas + 1):
+                    head, admitted, _ = self.oracle(engine, job, replicas, now)
+                    assert head is queued[0], (job.name, now)
+                    assert not admitted, (job.name, replicas, now)
+            self.verdicts[False] += 1
+        return closed
 
 
 def checked(config):
@@ -378,3 +393,35 @@ def test_indexed_walk_matches_literal_scan(make_config, seed):
         indexed.config.backfill.last_head_reservations
         == scan.config.backfill.last_head_reservations
     )
+
+
+def test_block_emptied_by_starts_passes_nobody_over():
+    """A queue block whose every member started leaves no job waiting.
+
+    Block 0 holds 64 two-wide jobs and block 1 begins with a one-wide
+    job.  The completion's walk starts all of block 0, which leaves one
+    slot; block 0's ``min_needed`` (2) now exceeds the budget, but
+    skipping it passes nobody over.  The one-wide job is then the head,
+    and starting the head is never a backfill — so the gate may not be
+    closed on it, even though no other queued job could backfill.
+    """
+    logs = []
+    for engine_cls in (ElasticPolicyEngine, ScanEngine):
+        engine = engine_cls(129, REGISTRY.resolve("easy-backfill"))
+        engine.on_submit(JobRequest(
+            name="r", min_replicas=129, max_replicas=129,
+            params={"est_runtime": 1_000.0},
+        ), 0.0)
+        for i in range(129):
+            width = 2 if i < 64 else 1
+            engine.on_submit(JobRequest(
+                name=f"q{i}", min_replicas=width, max_replicas=width,
+                priority=2 if i < 64 else 1,
+                params={"est_runtime": 500.0},
+            ), 1.0)
+        if engine_cls is ElasticPolicyEngine:
+            assert [len(b.jobs) for b in engine.queue.blocks] == [64, 65]
+        logs.append([serialize(d) for d in engine.on_complete("r", 10.0)])
+    started = [d[1] for d in logs[0]]
+    assert len(started) == 65 and started[-1] == "q64"
+    assert logs[0] == logs[1]

@@ -202,6 +202,47 @@ class TestEasyBackfillUnit:
         decisions = engine.on_submit(est_req("c", 3, 3, 150.0), 1.0)
         assert [type(d).__name__ for d in decisions] == ["EnqueueJob"]
 
+    @pytest.mark.parametrize("conservative", [False, True])
+    def test_gate_closes_when_no_queued_job_can_backfill(self, conservative):
+        """Queued h (needs 6, S = 100, 2 spare slots) and l (3 wide,
+        200 s): nothing queued is short enough to finish by S or narrow
+        enough for the spare slots, so the aggressive rule refuses every
+        job behind h at once.  The conservative variant never closes."""
+        config = REGISTRY.resolve("easy-backfill", conservative=conservative)
+        engine = ElasticPolicyEngine(8, config)
+        engine.on_submit(est_req("a", 4, 4, 100.0), 0.0)
+        engine.on_submit(est_req("h", 6, 6, 100.0), 0.0)
+        engine.on_submit(est_req("l", 3, 3, 200.0), 1.0)
+        assert [j.name for j in engine.queue] == ["h", "l"]
+        assert config.backfill.refuses_all(engine, 1.0) is not conservative
+
+    def test_queued_short_job_keeps_the_gate_open(self):
+        """s (50 s) waits behind h, whose reservation is b's finish at
+        t=300: when a completes at t=100, s finishes inside the shadow
+        window, so the gate stays open and s backfills."""
+        config = REGISTRY.resolve("easy-backfill")
+        engine = ElasticPolicyEngine(8, config)
+        engine.on_submit(est_req("a", 4, 4, 100.0), 0.0)
+        engine.on_submit(est_req("b", 4, 4, 300.0), 0.0)
+        engine.on_submit(est_req("h", 6, 6, 100.0), 0.0)
+        engine.on_submit(est_req("s", 3, 3, 50.0), 1.0)
+        engine.on_submit(est_req("l", 3, 3, 1_000.0), 2.0)
+        assert [j.name for j in engine.queue] == ["h", "s", "l"]
+        assert not config.backfill.refuses_all(engine, 100.0)
+        decisions = engine.on_complete("a", 100.0)
+        assert [d.job.name for d in decisions] == ["s"]
+        assert config.backfill.last_head_reservations["h"] == 300.0
+
+    def test_head_that_can_never_start_keeps_the_gate_open(self):
+        """S = inf: every candidate finishes before it."""
+        config = REGISTRY.resolve("easy-backfill")
+        engine = ElasticPolicyEngine(8, config)
+        engine.on_submit(est_req("a", 8, 8, 100.0), 0.0)
+        engine.on_submit(est_req("h", 10, 10, 100.0), 0.0)
+        engine.on_submit(est_req("l", 7, 7, 1e6), 1.0)
+        assert [j.name for j in engine.queue] == ["h", "l"]
+        assert not config.backfill.refuses_all(engine, 1.0)
+
     def test_factory_pins_infinite_gap(self):
         config = REGISTRY.resolve("easy-backfill", rescale_gap=180.0)
         assert math.isinf(config.rescale_gap)

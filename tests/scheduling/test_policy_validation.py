@@ -47,6 +47,13 @@ class TestPolicyConfigValidation:
         with pytest.raises(ValueError, match="on_queued"):
             PolicyConfig(backfill=GateOnly())
 
+        class NoClosure(GateOnly):
+            def on_queued(self, job):
+                pass
+
+        with pytest.raises(ValueError, match="refuses_all"):
+            PolicyConfig(backfill=NoClosure())
+
     def test_rejects_fractional_launcher_slots(self):
         with pytest.raises(ValueError, match="launcher_slots"):
             PolicyConfig(launcher_slots=0.5)
