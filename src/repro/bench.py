@@ -279,8 +279,8 @@ def run_bench(
         say(f"simulator, {n} jobs...")
         results[f"simulator_{n}"] = bench_simulator(n)
     # Registry-resolved non-paper policy rows: EASY backfilling runs
-    # the hooked paths (_submit_constrained, and the indexed Figure-3
-    # walk with its backfill gate, O(1) shadow-time admission and
+    # the hooked branches (the submission walk's arrival gate, and the
+    # Figure-3 walk's backfill gate, O(1) shadow-time admission and
     # per-state gate closure), so a slowdown there is caught by the
     # same normalized gate as the paper hot path.  Once no queued job
     # behind the head can backfill, the walk stops asking about queued

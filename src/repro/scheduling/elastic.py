@@ -31,7 +31,8 @@ The quirks and deviations above are the reference semantics; every
 hook stage of :class:`~repro.scheduling.policy.PolicyConfig` (priority
 rule, backfill, capacity constraint, and the §3.2.2 extensions — queue
 aging and checkpoint-to-disk preemption) is ``None``/off on the paper's
-four policies, so none of their code runs there.
+four policies, so none of their branches run there.  Every stage rides
+the one Figure-2 submission walk and the one Figure-3 walk below.
 
 Per-event complexity (the PR-3 hot-path contract)
 -------------------------------------------------
@@ -69,7 +70,18 @@ jobs and block size ``B``:
 * the Figure-2 dry run short-circuits to *infeasible* when the blocks'
   total ``shrinkable`` sum cannot cover the requested slots — priority
   stops and gap ineligibility only ever reduce what the walk frees, so
-  the aggregate total is a sound upper bound.
+  the aggregate total is a sound upper bound;
+* a capacity constraint rides both walks.  Figure 2 chases a *dual*
+  deficit (slots and constraint units); block aggregates know nothing
+  of constraint weights, so the dry run credits whole blocks only when
+  there is no constraint.  Figure 3 caps every expansion and queued
+  start by the constraint's ``admit``;
+* under the aging stage the queue is keyed by *aged* priority.  Queued
+  jobs whose aged priority moved are re-keyed (removed, re-keyed,
+  re-added) at every submission and before every Figure-3 walk, so the
+  merge and the queue-block skips stay exact; a job gets its static key
+  back when it starts, so running jobs — and the Figure-2 walk over
+  them — never see aging.
 
 Decision sequences are **byte-identical** to the preserved pre-
 optimization engine (:mod:`repro.scheduling._reference`); the golden
@@ -85,14 +97,13 @@ by the live-job count instead of the workload length.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import itertools
 import math
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import CapacityError, JobStateError
 from ..obs.metrics import active_registry
-from .job import JobRequest, JobState, SchedulerJob, priority_order_key
+from .job import JobRequest, JobState, SchedulerJob
 from .joblist import IndexedJobList
 from .policy import (
     Decision,
@@ -195,24 +206,27 @@ class ElasticPolicyEngine:
         except KeyError:
             raise JobStateError(f"unknown job {name!r}") from None
 
-    def _candidates_by_priority(self, now: float) -> Iterator[SchedulerJob]:
-        """Running and queued jobs in decreasing priority (Fig 3's allJobs).
+    def _aged_key(self, job: SchedulerJob, now: float) -> tuple:
+        """A queued job's sort key under the aging stage at ``now``."""
+        return (-self._aging.effective_priority(job, now), job.submit_time, job.seq)
 
-        Both lists are permanently sorted by :func:`priority_order_key`
-        with unique keys, so a lazy merge reproduces exactly what
-        ``sorted(running + queue)`` would build — without materializing
-        it.  Under the aging stage the order is time-dependent, so the
-        jobs are sorted by their aged priority at ``now`` instead.
-        Callers must not structurally mutate ``running``/``queue`` while
-        consuming the iterator.
+    def _age_queue(self, now: float) -> None:
+        """Re-key every queued job whose aged priority moved since it was
+        keyed, so the queue iterates in aged order at ``now``.
+
+        A key never changes while its job is in a list: each stale job is
+        removed under its old key and re-added under the new one.
         """
-        aging = self._aging
-        if aging is None:
-            return heapq.merge(self.running, self.queue, key=priority_order_key)
-        return iter(sorted(
-            itertools.chain(self.running, self.queue),
-            key=lambda j: (-aging.effective_priority(j, now), j.submit_time, j.seq),
-        ))
+        queue = self.queue
+        stale = []
+        for job in queue:
+            key = self._aged_key(job, now)
+            if key != job.sort_key:
+                stale.append((job, key))
+        for job, key in stale:
+            queue.remove(job)
+            job.sort_key = key
+            queue.add(job)
 
     # ------------------------------------------------------------------
     # Event: new job submitted (Figure 2)
@@ -232,16 +246,35 @@ class ElasticPolicyEngine:
             raise JobStateError(f"job {request.name!r} already submitted")
         job = SchedulerJob(request=request, submit_time=now)
         self._jobs[request.name] = job
-        if self._constraint is not None or self._backfill is not None:
-            decisions = self._submit_constrained(job, now)
-        else:
-            decisions = self._submit_indexed(job, now)
+        if self._aging is not None:
+            # The backfill gate compares the arrival with the queue, so
+            # both are keyed by aged priority at ``now``.
+            self._age_queue(now)
+            job.sort_key = self._aged_key(job, now)
+        decisions = self._submit(job, now)
         if self._preemption and type(decisions[-1]) is EnqueueJob:
             self._preempt_for(job, now, decisions)
         return self._log(decisions)
 
-    def _submit_indexed(self, job: SchedulerJob, now: float) -> List[Decision]:
-        """Figure 2 on the indexed lists — the paper's submission path."""
+    def _submit(self, job: SchedulerJob, now: float) -> List[Decision]:
+        """Figure 2 on the indexed lists, with every hook stage.
+
+        Starts are capped by :meth:`_admissible`: free slots, the
+        request's maximum and the capacity constraint's ``admit``.
+
+        An arrival that would start past a non-empty queue is a
+        *backfill* and must pass the backfill-eligibility stage (EASY:
+        the start may not delay the reserved queue head).  A backfill has
+        to fit in the currently free slots — rearranging running jobs to
+        make room for a queue-jumper would contradict the reservation the
+        stage protects — so no shrink walk runs for it.
+
+        Otherwise an arrival that does not fit shrinks lower-priority
+        jobs.  The walk chases a *dual* deficit, slots and constraint
+        units, which makes elastic shrink the constraint's actuator (the
+        power-capped scenario's whole point).  Without a constraint the
+        unit deficit is 0 and this is the paper's walk.
+        """
         request = job.request
         reserve = self.config.launcher_slots
         req_min = request.min_replicas
@@ -250,31 +283,49 @@ class ElasticPolicyEngine:
 
         # replicas = min(freeSlots - 1, job.maxReplicas)
         avail = self.free_slots - reserve
-        replicas = avail if avail < req_max else req_max
+        replicas = self._admissible(request, avail)
+        jumping = self._backfill is not None and len(self.queue)
         if replicas >= req_min:
-            decisions.append(self._start(job, replicas, now))
+            if jumping and not self._backfill.allows(self, job, replicas, now):
+                decisions.append(self._enqueue(job, now))
+            else:
+                decisions.append(self._start(job, replicas, now))
             return decisions
 
-        # Dry run: would shrinking lower-priority jobs free enough slots to
-        # reach the new job's minimum?  (An aggregate query over the
-        # running blocks — no per-candidate walk on the common path.  The
-        # dry run is pure, so ``avail`` is still current afterwards.)
-        if not self._shrink_feasible(job, now, req_min - avail):
-            decisions.append(self._enqueue(job))
+        cons = self._constraint
+        weight = headroom = 0.0
+        if cons is not None:
+            weight = cons.weight(request)
+            headroom = cons.headroom()
+        # Dry run: would shrinking lower-priority jobs free enough to reach
+        # the new job's minimum?  (Pure, so ``avail`` is still current.)
+        if jumping or not self._shrink_feasible(
+            request.priority, now, req_min - avail, req_min * weight - headroom
+        ):
+            decisions.append(self._enqueue(job, now))
             return decisions
 
         # Real pass: shrink towards freeing up to maxReplicas' worth.
-        min_to_free = self._shrink_victims(
-            job, now, req_min - avail, req_max - avail, decisions
+        self._shrink_pass(
+            request.priority, now, req_max - avail, req_max * weight - headroom,
+            decisions, self.config.rescale_gap,
         )
-        if min_to_free > 0:
-            decisions.append(self._enqueue(job))
-            return decisions
-
-        avail = self.free_slots - reserve
-        replicas = avail if avail < req_max else req_max
-        decisions.append(self._start(job, replicas, now))
+        replicas = self._admissible(request, self.free_slots - reserve)
+        if replicas >= req_min:
+            decisions.append(self._start(job, replicas, now))
+        else:  # a shrink_filter vetoed part of the committed plan
+            decisions.append(self._enqueue(job, now))
         return decisions
+
+    def _admissible(self, request: JobRequest, avail: int) -> int:
+        """Replicas a start may take: ``avail`` slots, the request's
+        maximum and (when configured) the constraint's admission cap."""
+        limit = avail if avail < request.max_replicas else request.max_replicas
+        if self._constraint is not None:
+            room = self._constraint.admit(request)
+            if room < limit:
+                limit = room
+        return limit
 
     # ------------------------------------------------------------------
     # Figure 2's shrink-victim walk, indexed
@@ -288,24 +339,30 @@ class ElasticPolicyEngine:
     # which is what lets whole blocks be credited or skipped from their
     # aggregates without changing a single decision.
 
-    def _shrink_feasible(self, job: SchedulerJob, now: float, num_to_free: int) -> bool:
-        """Figure 2's dry run: could shrinking free ``num_to_free`` slots?
+    def _shrink_feasible(
+        self, priority: float, now: float, slots: int, units: float
+    ) -> bool:
+        """Figure 2's dry run: could shrinking free ``slots`` slots and
+        ``units`` constraint units?
 
         Pure query — no state is touched.  Blocks whose time bound proves
         every member rescale-gap-eligible are resolved in O(1): credited
         with their ``shrinkable`` sum when the whole block ranks at or
-        below the arrival, or terminating the walk when even their
-        lowest-priority member outranks it.  Mixed or possibly-ineligible
-        blocks fall back to the literal item scan.
+        below the arrival (only without a constraint: the aggregate
+        carries no weights), or terminating the walk when even their
+        lowest-priority member outranks it.  Other blocks fall back to
+        the literal item scan.
         """
+        if slots <= 0 and units <= 0:
+            return True
         # Upper-bound early out: the walk can never free more than the
         # list's total shrinkable sum (priority stops and rescale-gap
         # ineligibility only reduce it further), so an arrival needing
         # more is infeasible without visiting a single candidate.
-        if self.running.shrinkable_total < num_to_free:
+        if self.running.shrinkable_total < slots:
             return False
+        cons = self._constraint
         gap = self.config.rescale_gap
-        priority = job.request.priority
         blocks = self.running.blocks
         for b in range(len(blocks) - 1, -1, -1):
             block = blocks[b]
@@ -318,7 +375,7 @@ class ElasticPolicyEngine:
                     # First candidate visited is eligible and outranks the
                     # arrival: the literal walk breaks here.
                     return False
-                if jobs[lo].request.priority <= priority:
+                if cons is None and jobs[lo].request.priority <= priority:
                     # Every visitable member ranks at or below the arrival:
                     # credit the whole block (minus the protected job's
                     # share in block 0) without touching its members.
@@ -328,8 +385,8 @@ class ElasticPolicyEngine:
                         extra = head.replicas - head.request.min_replicas
                         if extra > 0:
                             credit -= extra
-                    num_to_free -= credit
-                    if num_to_free <= 0:
+                    slots -= credit
+                    if slots <= 0:
                         return True
                     continue
             for i in range(len(jobs) - 1, lo - 1, -1):
@@ -340,55 +397,46 @@ class ElasticPolicyEngine:
                     return False
                 extra = candidate.replicas - candidate.request.min_replicas
                 if extra > 0:
-                    num_to_free -= extra
-                    if num_to_free <= 0:
+                    slots -= extra
+                    if cons is not None:
+                        units -= extra * cons.weight(candidate.request)
+                    if slots <= 0 and units <= 0:
                         return True
-        return num_to_free <= 0
-
-    def _shrink_victims(
-        self,
-        job: SchedulerJob,
-        now: float,
-        min_to_free: int,
-        max_to_free: int,
-        decisions: List[Decision],
-    ) -> int:
-        """Figure 2's real pass: emit shrinks towards ``max_to_free``.
-
-        Walks the same order as the literal loop but skips whole blocks
-        that provably contain neither a victim (``shrinkable == 0``) nor
-        the walk's stop condition (no member outranks the arrival).
-        Returns the still-unmet part of ``min_to_free``.
-        """
-        return self._shrink_pass(
-            job.priority, now, min_to_free, max_to_free, decisions,
-            self.config.rescale_gap,
-        )
+        return slots <= 0 and units <= 0
 
     def _shrink_pass(
         self,
         priority: float,
         now: float,
-        min_to_free: int,
-        max_to_free: int,
+        slots: int,
+        units: float,
         decisions: List[Decision],
         gap: float,
-    ) -> int:
-        """The Figure-2 victim walk against an explicit rank and gap.
+    ) -> None:
+        """The Figure-2 victim walk: emit shrinks towards freeing
+        ``slots`` slots and ``units`` constraint units.
 
-        :meth:`_shrink_victims` calls it with the arriving job's priority
-        and the configured rescale gap — the literal submission path.
-        Capacity shrinks (:meth:`shrink_capacity`) reuse the identical
-        walk with ``priority = +inf`` (every running job except the
-        protected index-0 one is a candidate) and, when forced by an
-        interruption, ``gap = -inf`` (reclaiming a dead node is not a
-        policy decision, so the rescale-gap courtesy does not apply).
+        Walks the literal loop's order but skips whole blocks that
+        provably contain neither a victim (``shrinkable == 0``) nor the
+        walk's stop condition (no member outranks ``priority``).  A
+        victim gives up what the larger of the two deficits asks of it,
+        down to its minimum.
+
+        :meth:`_submit` calls it with the arrival's priority and the
+        configured rescale gap.  Capacity shrinks
+        (:meth:`shrink_capacity`) reuse the identical walk with
+        ``priority = +inf`` (every running job except the protected
+        index-0 one is a candidate), ``units = -inf`` (slots alone) and,
+        when forced by an interruption, ``gap = -inf`` (reclaiming a dead
+        node is not a policy decision, so the rescale-gap courtesy does
+        not apply).
         """
         if self._obs is not None:
             self._obs_shrink_passes.inc()
+        cons = self._constraint
         blocks = self.running.blocks
         for b in range(len(blocks) - 1, -1, -1):
-            if max_to_free <= 0:
+            if slots <= 0 and units <= 0:
                 break
             block = blocks[b]
             jobs = block.jobs
@@ -397,179 +445,39 @@ class ElasticPolicyEngine:
                 if now - block.newest_action >= gap and (
                     jobs[-1].request.priority > priority
                 ):
-                    return min_to_free  # the literal walk breaks immediately
+                    return  # the literal walk breaks immediately
                 if block.shrinkable == 0 and jobs[lo].request.priority <= priority:
                     continue  # no victims and no stop condition in here
             for i in range(len(jobs) - 1, lo - 1, -1):
-                if max_to_free <= 0:
+                if slots <= 0 and units <= 0:
                     break
                 candidate = jobs[i]
                 if now - candidate.last_action < gap:
                     continue
                 if candidate.request.priority > priority:
-                    return min_to_free
+                    return
                 floor = candidate.request.min_replicas
-                old_replicas = candidate.replicas
-                if old_replicas > floor:
-                    new_replicas = old_replicas - max_to_free
-                    if new_replicas < floor:
-                        new_replicas = floor
-                    shrink = self._shrink(candidate, new_replicas, now)
+                old = candidate.replicas
+                if old <= floor:
+                    continue
+                want = slots if slots > 0 else 0
+                weight = 0.0
+                if cons is not None:
+                    weight = cons.weight(candidate.request)
+                    if units > 0 and weight > 0:
+                        from_units = math.ceil(units / weight)
+                        if from_units > want:
+                            want = from_units
+                new = old - want
+                if new < floor:
+                    new = floor
+                if new < old:
+                    shrink = self._shrink(candidate, new, now)
                     if shrink is not None:
                         decisions.append(shrink)
-                        freed = old_replicas - new_replicas
-                        min_to_free -= freed
-                        max_to_free -= freed
-        return min_to_free
-
-    # ------------------------------------------------------------------
-    # Hooked submission path (backfill-eligibility, capacity-constraint)
-    # ------------------------------------------------------------------
-    #
-    # The paper's Figure 2 lets any arrival start past a non-empty queue
-    # (the stated out-of-order-allocation feature) and knows only one
-    # budget, slots.  The hook stages generalize both; this path is only
-    # entered when one of them is configured, so the four paper policies
-    # never reach this code.
-
-    def _submit_constrained(self, job: SchedulerJob, now: float) -> List[Decision]:
-        """Figure 2 under the backfill and capacity-constraint stages.
-
-        An arrival that would start past a non-empty queue is a
-        *backfill* and must pass the backfill-eligibility stage (EASY:
-        the start may not delay the reserved queue head).  A backfill has
-        to fit in the currently free slots — rearranging running jobs to
-        make room for a queue-jumper would contradict the reservation the
-        stage protects — so no shrink walk runs for it.
-
-        Under a capacity constraint, starts are capped by both free slots
-        and :meth:`CapacityConstraint.admit`; the shrink walk chases a
-        *dual* deficit (slots and constraint units), making elastic
-        shrink the constraint's actuator — the power-capped scenario's
-        whole point.  The walk is the literal Figure-2 shape (no
-        aggregate credits: block aggregates know nothing of constraint
-        weights); without a constraint it chases slots alone.
-        """
-        request = job.request
-        cons = self._constraint
-        reserve = self.config.launcher_slots
-        req_min = request.min_replicas
-        req_max = request.max_replicas
-        decisions: List[Decision] = []
-
-        avail = self.free_slots - reserve
-        replicas = self._admissible(request, avail)
-        jumping = self._backfill is not None and len(self.queue)
-        if replicas >= req_min:
-            if jumping and not self._backfill.allows(self, job, replicas, now):
-                decisions.append(self._enqueue(job))
-            else:
-                decisions.append(self._start(job, replicas, now))
-            return decisions
-        if jumping:
-            decisions.append(self._enqueue(job))
-            return decisions
-
-        weight = cons.weight(request) if cons is not None else 0.0
-        headroom = cons.headroom() if cons is not None else 0.0
-        if not self._constrained_shrink_feasible(
-            job, now, req_min - avail, req_min * weight - headroom
-        ):
-            decisions.append(self._enqueue(job))
-            return decisions
-
-        self._constrained_shrink(
-            job, now, req_max - avail, req_max * weight - headroom, decisions
-        )
-        replicas = self._admissible(request, self.free_slots - reserve)
-        if replicas >= req_min:
-            decisions.append(self._start(job, replicas, now))
-        else:  # a shrink_filter vetoed part of the committed plan
-            decisions.append(self._enqueue(job))
-        return decisions
-
-    def _admissible(self, request: JobRequest, avail: int) -> int:
-        """Replicas a start may take: ``avail`` slots, the request's
-        maximum and (when configured) the constraint's admission cap."""
-        limit = avail if avail < request.max_replicas else request.max_replicas
-        if self._constraint is not None:
-            room = self._constraint.admit(request)
-            if room < limit:
-                limit = room
-        return limit
-
-    def _constrained_shrink_feasible(
-        self, job: SchedulerJob, now: float, slot_deficit: int,
-        unit_deficit: float,
-    ) -> bool:
-        """Dry-run the dual-deficit shrink walk (pure, literal order)."""
-        if slot_deficit <= 0 and unit_deficit <= 0:
-            return True
-        gap = self.config.rescale_gap
-        cons = self._constraint
-        priority = job.request.priority
-        running = self.running
-        for i in range(len(running) - 1, 0, -1):
-            candidate = running[i]
-            if now - candidate.last_action < gap:
-                continue
-            if candidate.request.priority > priority:
-                return False
-            extra = candidate.replicas - candidate.request.min_replicas
-            if extra > 0:
-                slot_deficit -= extra
-                if cons is not None:
-                    unit_deficit -= extra * cons.weight(candidate.request)
-                if slot_deficit <= 0 and unit_deficit <= 0:
-                    return True
-        return slot_deficit <= 0 and unit_deficit <= 0
-
-    def _constrained_shrink(
-        self,
-        job: SchedulerJob,
-        now: float,
-        slot_target: int,
-        unit_target: float,
-        decisions: List[Decision],
-    ) -> None:
-        """The committing dual-deficit walk: shrink victims until both
-        the slot and the constraint-unit targets are met (or the literal
-        walk's stop conditions end it)."""
-        gap = self.config.rescale_gap
-        cons = self._constraint
-        priority = job.request.priority
-        # Snapshot: _shrink never reorders the list (the sort key is
-        # priority-based), but iterating a frozen view is simpler to
-        # reason about than live block pointers under mutation.
-        snapshot = list(self.running)
-        for i in range(len(snapshot) - 1, 0, -1):
-            if slot_target <= 0 and unit_target <= 0:
-                break
-            candidate = snapshot[i]
-            if now - candidate.last_action < gap:
-                continue
-            if candidate.request.priority > priority:
-                break
-            floor = candidate.request.min_replicas
-            old = candidate.replicas
-            if old <= floor:
-                continue
-            weight = cons.weight(candidate.request) if cons is not None else 0.0
-            want = slot_target if slot_target > 0 else 0
-            if unit_target > 0 and weight > 0:
-                from_units = int(math.ceil(unit_target / weight))
-                if from_units > want:
-                    want = from_units
-            new = old - want
-            if new < floor:
-                new = floor
-            if new < old:
-                shrink = self._shrink(candidate, new, now)
-                if shrink is not None:
-                    decisions.append(shrink)
-                    freed = old - new
-                    slot_target -= freed
-                    unit_target -= freed * weight
+                        freed = old - new
+                        slots -= freed
+                        units -= freed * weight
 
     # ------------------------------------------------------------------
     # Preemption stage (§3.2.2, checkpoint-to-disk preemption)
@@ -607,8 +515,7 @@ class ElasticPolicyEngine:
             decisions.append(self._requeue(victim, now, preempt=True))
         replicas = self._admissible(job.request, self.free_slots - reserve)
         if replicas >= job.request.min_replicas:
-            self.queue.remove(job)
-            decisions.append(self._start(job, replicas, now))
+            decisions.append(self._start_queued(job, replicas, now))
         else:
             decisions.append(enqueue)
 
@@ -639,22 +546,28 @@ class ElasticPolicyEngine:
             # Deadlock-free default: the budget is everything now free
             # (this completion plus leftovers from earlier events).
             num_workers = self.free_slots
+        # Remaining freed workers return to the free pool implicitly.
+        return self._hand_out(num_workers, now, "complete")
 
+    def _hand_out(self, budget: int, now: float, trigger: str) -> List[Decision]:
+        """Run the Figure-3 walk over ``budget`` slots, then apply the
+        queue→running moves it deferred."""
+        if self._aging is not None:
+            self._age_queue(now)
         decisions: List[Decision] = []
         spans = self.spans
         if spans is not None:
-            spans.begin("redistribute", budget=num_workers, trigger="complete")
+            spans.begin("redistribute", budget=budget, trigger=trigger)
         self._pending_starts = []
         try:
-            self._redistribute(num_workers, now, decisions)
+            self._redistribute(budget, now, decisions)
         finally:
             started, self._pending_starts = self._pending_starts, None
             for moved in started:
                 self.queue.remove(moved)
-                self.running.add(moved)
+                self._run(moved)
             if spans is not None:
                 spans.end("redistribute", decisions=len(decisions))
-        # Remaining freed workers return to the free pool implicitly.
         return self._log(decisions)
 
     def _redistribute(
@@ -672,33 +585,34 @@ class ElasticPolicyEngine:
         gap``, with ``oldest_action`` a lower bound on the members'
         ``last_action``).  A skipped running candidate would have emitted
         nothing and consumed no budget, so the emitted decision sequence
-        is exactly the literal scan's (:meth:`_redistribute_scan`, which
-        now serves only the capacity-constraint and aging stages).
+        is exactly that of the literal scan over Figure 3's sorted
+        ``allJobs`` (kept as the test suite's oracle, ``ScanEngine``).
+
+        A capacity constraint caps every expansion and queued start by
+        its ``admit``.  Under aging the queue's keys are its aged
+        priorities at ``now`` (:meth:`_hand_out` refreshes them before
+        the walk), so the merge is the aged ``allJobs`` order.
 
         A backfill stage rides on the same walk: ``passed`` records that
         a queued job was left waiting upstream — its block skipped on
-        ``min_needed``, the job itself priced out by the budget, or held
-        by the rescale gap — and from then on every queued start must
-        pass ``backfill.allows``, exactly as in the literal scan.  Once
+        ``min_needed``, the job itself priced out by the budget, capped
+        by the constraint, or held by the rescale gap — and from then on
+        every queued start must pass ``backfill.allows``.  Once
         ``passed`` is set the walk also asks ``backfill.refuses_all``,
         once per value of the engine's transition counter: while it
         holds, every queued candidate is behind a waiting job and would
         be refused, so it is passed over without an ``allows`` call (a
         refusal has no side effect), and with no running candidate left
-        the walk ends.  The arrival gate in :meth:`_submit_constrained`
+        the walk ends.  The arrival gate in :meth:`_submit`
         keeps asking ``allows``: its job is gated before it enters the
         queue, so the rule's queue-wide answer does not cover it.
         """
         if self._obs is not None:
             self._obs_redistributes.inc()
-        if self._constraint is not None or self._aging is not None:
-            # Constraint caps and aged (time-dependent) priorities are
-            # per-candidate state the block aggregates cannot express:
-            # those two stages take the literal scan.
-            return self._redistribute_scan(num_workers, now, decisions)
         reserve = self.config.launcher_slots
         gap = self.config.rescale_gap
         backfill = self._backfill
+        cons = self._constraint
         passed = False  # a queued job was left waiting upstream
         closed = False  # backfill.refuses_all() at transition gate_at
         gate_at = None
@@ -782,7 +696,11 @@ class ElasticPolicyEngine:
                     room = candidate.request.max_replicas - replicas
                     if room > 0:
                         add = room if room < num_workers else num_workers
-                        if replicas + add >= candidate.request.min_replicas:
+                        if cons is not None:
+                            cap = cons.admit(candidate.request)
+                            if cap < add:
+                                add = cap
+                        if add > 0 and replicas + add >= candidate.request.min_replicas:
                             decisions.append(
                                 self._expand(candidate, replicas + add, now)
                             )
@@ -802,77 +720,28 @@ class ElasticPolicyEngine:
                 request = candidate.request
                 if now - candidate.last_action < gap:
                     passed = True
-                elif candidate.replicas < request.max_replicas:
-                    # Starting a queued job also needs its launcher slot.
-                    add = num_workers - reserve
-                    if add > request.max_replicas:
-                        add = request.max_replicas
-                    # A gate refusal leaves ``passed`` set: it already was.
-                    if add >= request.min_replicas and (
-                        backfill is None
-                        or not passed
-                        or backfill.allows(self, candidate, add, now)
-                    ):
-                        decisions.append(self._start_queued(candidate, add, now))
-                        num_workers -= add + reserve
+                    continue
+                # Starting a queued job also needs its launcher slot.
+                add = num_workers - reserve
+                if add > request.max_replicas:
+                    add = request.max_replicas
+                if cons is not None:
+                    cap = cons.admit(request)
+                    if cap < add:
+                        add = cap
+                if add < request.min_replicas:
+                    passed = True  # held back by the constraint's cap
+                # A gate refusal leaves ``passed`` set: it already was.
+                elif backfill is None or not passed or backfill.allows(
+                    self, candidate, add, now
+                ):
+                    decisions.append(self._start_queued(candidate, add, now))
+                    num_workers -= add + reserve
         if self._obs is not None:
             if qskips:
                 self._obs_queue_skips.inc(qskips)
             if rskips:
                 self._obs_running_skips.inc(rskips)
-
-    def _redistribute_scan(
-        self, num_workers: int, now: float, decisions: List[Decision]
-    ) -> None:
-        """The literal Figure-3 scan over :meth:`_candidates_by_priority`.
-
-        Kept as the reference shape of the walk — and as the live path
-        for the capacity-constraint and aging stages only: constraint
-        caps are per-candidate state, and aging's time-dependent
-        candidate order is one block aggregates keyed on static priority
-        cannot follow.  Backfill-only configs take the indexed
-        :meth:`_redistribute`.
-        """
-        reserve = self.config.launcher_slots
-        gap = self.config.rescale_gap
-        cons = self._constraint
-        backfill = self._backfill
-        passed_queued = False  # a queued job was left waiting upstream
-        for candidate in self._candidates_by_priority(now):
-            if num_workers <= 0:
-                break
-            if now - candidate.last_action < gap:
-                if candidate.state == JobState.QUEUED:
-                    passed_queued = True
-                continue
-            if candidate.replicas < candidate.max_replicas:
-                add = min(num_workers, candidate.max_replicas - candidate.replicas)
-                if candidate.state == JobState.QUEUED:
-                    # Starting a queued job also needs its launcher slot.
-                    add = min(num_workers - reserve, candidate.max_replicas)
-                    if cons is not None:
-                        room = cons.admit(candidate.request)
-                        if room < add:
-                            add = room
-                    if add >= candidate.min_replicas and (
-                        backfill is None
-                        or not passed_queued
-                        or backfill.allows(self, candidate, add, now)
-                    ):
-                        decisions.append(self._start_queued(candidate, add, now))
-                        num_workers -= add + reserve
-                    else:
-                        passed_queued = True
-                else:
-                    if cons is not None:
-                        room = cons.admit(candidate.request)
-                        if room < add:
-                            add = room
-                    if add > 0 and candidate.replicas + add >= candidate.min_replicas:
-                        decisions.append(
-                            self._expand(candidate, candidate.replicas + add, now)
-                        )
-                        num_workers -= add
 
     # ------------------------------------------------------------------
     # Elastic cluster capacity (the repro.cloud substrate)
@@ -940,9 +809,7 @@ class ElasticPolicyEngine:
         deficit = slots - self.free_slots
         if deficit > 0:
             gap = float("-inf") if force else self.config.rescale_gap
-            self._shrink_pass(
-                float("inf"), now, deficit, deficit, decisions, gap
-            )
+            self._shrink_pass(math.inf, now, deficit, -math.inf, decisions, gap)
             deficit = slots - self.free_slots
         if deficit > 0 and force:
             # Evict whole jobs, lowest priority first; the snapshot is
@@ -990,23 +857,9 @@ class ElasticPolicyEngine:
         dead node held.
         """
         budget = self.free_slots
-        decisions: List[Decision] = []
         if budget <= 0:
-            return decisions
-        spans = self.spans
-        if spans is not None:
-            spans.begin("redistribute", budget=budget, trigger="rebalance")
-        self._pending_starts = []
-        try:
-            self._redistribute(budget, now, decisions)
-        finally:
-            started, self._pending_starts = self._pending_starts, None
-            for moved in started:
-                self.queue.remove(moved)
-                self.running.add(moved)
-            if spans is not None:
-                spans.end("redistribute", decisions=len(decisions))
-        return self._log(decisions)
+            return []
+        return self._hand_out(budget, now, "rebalance")
 
     def _requeue(
         self, job: SchedulerJob, now: float, *, preempt: bool = False
@@ -1036,10 +889,10 @@ class ElasticPolicyEngine:
         if preempt:
             job.last_action = now
             self._preempted.add(job.name)
-            self._enqueue(job)
+            self._enqueue(job, now)
             return PreemptJob(job=job, released_replicas=released)
         job.last_action = -math.inf
-        self._enqueue(job)
+        self._enqueue(job, now)
         return RequeueJob(job=job, released_replicas=released)
 
     # ------------------------------------------------------------------
@@ -1113,8 +966,21 @@ class ElasticPolicyEngine:
 
     def _start(self, job: SchedulerJob, replicas: int, now: float) -> StartJob:
         start = self._activate(job, replicas, now)
-        self.running.add(job)
+        self._run(job)
         return start
+
+    def _run(self, job: SchedulerJob) -> None:
+        """Place a started job on ``running`` under its static key.
+
+        Every job enters ``running`` here, arrivals and queued jobs
+        alike.  Under aging a job is keyed by its aged priority while
+        queued (:meth:`_age_queue`); clearing the cached key makes
+        :func:`~repro.scheduling.job.priority_order_key` rebuild it from
+        the user priority.
+        """
+        if self._aging is not None:
+            job.sort_key = ()
+        self.running.add(job)
 
     def _start_queued(self, job: SchedulerJob, replicas: int, now: float) -> StartJob:
         if self._pending_starts is not None:
@@ -1135,9 +1001,11 @@ class ElasticPolicyEngine:
             return ResumeJob(job=job, replicas=replicas)
         return start
 
-    def _enqueue(self, job: SchedulerJob) -> EnqueueJob:
+    def _enqueue(self, job: SchedulerJob, now: float) -> EnqueueJob:
         # NOTE: lastAction deliberately untouched (see module docstring).
         job.state = JobState.QUEUED
+        if self._aging is not None:
+            job.sort_key = self._aged_key(job, now)
         self.queue.add(job)
         if self._backfill is not None:
             self._backfill.on_queued(job)

@@ -78,10 +78,12 @@ class SchedulerJob:
     request: JobRequest
     submit_time: float = 0.0
     seq: int = field(default_factory=_seq.__next__)
-    #: Cached :func:`priority_order_key` — every component is fixed at
-    #: construction (user priority, submission time, sequence), and the
-    #: sorted containers ask for the key often enough that rebuilding the
-    #: tuple showed up in trace-scale profiles.
+    #: Cached :func:`priority_order_key` — the sorted containers ask for
+    #: the key often enough that rebuilding the tuple showed up in
+    #: trace-scale profiles.  Built from the user priority, submission
+    #: time and sequence; under the aging stage the engine swaps in the
+    #: *aged* priority while the job is queued (never while the job sits
+    #: in a list) and clears it when the job starts.
     sort_key: tuple = field(init=False, repr=False, compare=False, default=())
     state: JobState = JobState.QUEUED
     replicas: int = 0
@@ -126,7 +128,10 @@ def priority_order_key(job: SchedulerJob):
 
     Higher user priority first; among equals, earlier submission first
     (§3.2.1), with the submission sequence as the final deterministic
-    tie-break.  The tuple is immutable per job and cached on it.
+    tie-break.  The tuple is cached on the job.  It changes only for a
+    queued job under the aging stage, which re-keys the job by its aged
+    priority while the job is out of the queue (see
+    :attr:`SchedulerJob.sort_key`).
     """
     return job.sort_key or _build_sort_key(job)
 

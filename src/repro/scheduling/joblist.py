@@ -58,12 +58,13 @@ engine's public ``running``/``queue`` attributes and every test that
 pokes them see the same sequence as before.
 
 Aggregate maintenance contract: when the engine mutates ``replicas``
-and/or ``last_action`` of a job *while the job is in the list* (sort
-keys are immutable, so ordering never changes), it must notify the list
-— :meth:`rescaled` for the usual both-fields shrink/expand transition
-(one block locate), or :meth:`adjust_replicas` / :meth:`touch` when only
-one field moved.  :meth:`add` / :meth:`remove` fold members in and out
-exactly.
+and/or ``last_action`` of a job *while the job is in the list* (a
+member's sort key never changes, so ordering never changes; the aging
+stage re-keys a queued job only by removing and re-adding it), it must
+notify the list — :meth:`rescaled` for the usual both-fields
+shrink/expand transition (one block locate), or :meth:`adjust_replicas`
+/ :meth:`touch` when only one field moved.  :meth:`add` /
+:meth:`remove` fold members in and out exactly.
 """
 
 from __future__ import annotations
@@ -96,10 +97,11 @@ def _headroom(job: SchedulerJob) -> int:
 class _Block:
     """One run of the sorted sequence plus its walk aggregates.
 
-    ``keys`` mirrors ``jobs`` with each member's (immutable)
-    :func:`priority_order_key`, so the bisects inside :meth:`IndexedJobList
-    .add` / :meth:`remove` run entirely in C instead of calling the key
-    function once per comparison probe.
+    ``keys`` mirrors ``jobs`` with each member's
+    :func:`priority_order_key` (fixed while it is a member), so the
+    bisects inside :meth:`IndexedJobList.add` / :meth:`remove` run
+    entirely in C instead of calling the key function once per
+    comparison probe.
     """
 
     __slots__ = (
@@ -245,7 +247,7 @@ class IndexedJobList:
         self._maxkeys.insert(b + 1, right.keys[-1])
 
     def remove(self, job: SchedulerJob) -> None:
-        """Remove by sort key (unique, immutable); O(log blocks + block)."""
+        """Remove by sort key (unique); O(log blocks + block)."""
         key = job.sort_key or priority_order_key(job)
         blocks = self._blocks
         b = bisect_left(self._maxkeys, key)

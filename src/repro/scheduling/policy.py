@@ -108,8 +108,10 @@ class Aging:
     A queued job gains one priority level per ``interval`` seconds of
     waiting, capped at ``max_priority``, so long-starved submissions
     eventually outrank fresher work when freed slots are handed out.
-    Running jobs keep their user priority: aging orders only the
-    Figure-3 hand-out, never the Figure-2 shrink-victim walk.
+    The engine keys its queue by this aged priority, so it orders the
+    whole queue: the Figure-3 hand-out, and the queue head a backfill
+    rule (EASY) reserves for.  Running jobs keep their user priority,
+    so the Figure-2 shrink-victim walk never sees aging.
     """
 
     interval: float
@@ -271,9 +273,10 @@ class PolicyConfig:
         fresh :class:`CapacityConstraint` per engine (engines must not
         share budget state).  ``None`` means slots are the only budget.
     aging:
-        Queue-aging stage (:class:`Aging`): orders the Figure-3 hand-out
-        by waiting-time-boosted priority.  ``None`` orders by the
-        submitted priority alone.
+        Queue-aging stage (:class:`Aging`): orders the queue — and so
+        the Figure-3 hand-out and the backfill head — by
+        waiting-time-boosted priority.  ``None`` orders by the submitted
+        priority alone.
     preemption:
         Preemption stage: when a submission ends queued, running jobs of
         strictly lower priority are checkpointed to disk

@@ -13,10 +13,16 @@ Two guards around the ``easy-backfill`` admission rule:
   reservation — on the plain simulator, on a finite-gap config whose
   expansions run mid-walk, and on a spot fleet whose capacity grows,
   shrinks and requeues jobs.
+
+The module also keeps the literal Figure-3 scan (:class:`ScanEngine`)
+as the oracle the engine's indexed walk must match decision for
+decision — under EASY, and under the capacity-constraint and aging
+stages that ride the same walk.
 """
 
 import dataclasses
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -35,6 +41,7 @@ from repro.scheduling import (
     priority_order_key,
 )
 from repro.scheduling.literature import EasyBackfill
+from repro.scheduling.policy import Aging
 from repro.scheduling.registry import REGISTRY
 from repro.schedsim import ScheduleSimulator, WorkloadSpec, generate_workload
 from repro.workloads import PoissonArrivals, SyntheticWorkload, UniformMix
@@ -330,10 +337,63 @@ def test_every_transition_invalidates_the_shadow(seed, gap):
 
 
 class ScanEngine(ElasticPolicyEngine):
-    """The engine with every Figure-3 walk on the literal scan."""
+    """The engine with every Figure-3 walk on the literal scan.
+
+    The scan sorts Figure 3's ``allJobs`` — running and queued jobs —
+    by decreasing priority at ``now`` (a queued job's aged priority
+    under the aging stage) and visits every candidate in turn.  It caps
+    expansions and queued starts by the capacity constraint, and once a
+    queued job is left waiting every later queued start must pass the
+    backfill gate.  The engine's indexed walk must emit exactly its
+    decisions.
+    """
+
+    def _candidates_by_priority(self, now):
+        aging = self._aging
+        if aging is None:
+            key = priority_order_key
+        else:
+            def key(j):
+                return (-aging.effective_priority(j, now), j.submit_time, j.seq)
+        return sorted(itertools.chain(self.running, self.queue), key=key)
 
     def _redistribute(self, num_workers, now, decisions):
-        self._redistribute_scan(num_workers, now, decisions)
+        reserve = self.config.launcher_slots
+        gap = self.config.rescale_gap
+        cons = self._constraint
+        backfill = self._backfill
+        passed_queued = False  # a queued job was left waiting upstream
+        for candidate in self._candidates_by_priority(now):
+            if num_workers <= 0:
+                break
+            if now - candidate.last_action < gap:
+                if candidate.state == JobState.QUEUED:
+                    passed_queued = True
+                continue
+            if candidate.replicas < candidate.max_replicas:
+                add = min(num_workers, candidate.max_replicas - candidate.replicas)
+                if candidate.state == JobState.QUEUED:
+                    # Starting a queued job also needs its launcher slot.
+                    add = min(num_workers - reserve, candidate.max_replicas)
+                    if cons is not None:
+                        add = min(add, cons.admit(candidate.request))
+                    if add >= candidate.min_replicas and (
+                        backfill is None
+                        or not passed_queued
+                        or backfill.allows(self, candidate, add, now)
+                    ):
+                        decisions.append(self._start_queued(candidate, add, now))
+                        num_workers -= add + reserve
+                    else:
+                        passed_queued = True
+                else:
+                    if cons is not None:
+                        add = min(add, cons.admit(candidate.request))
+                    if add > 0 and candidate.replicas + add >= candidate.min_replicas:
+                        decisions.append(
+                            self._expand(candidate, candidate.replicas + add, now)
+                        )
+                        num_workers -= add
 
 
 def drive_ranked_widths(engine, seed, n_jobs=700):
@@ -370,6 +430,16 @@ def drive_ranked_widths(engine, seed, n_jobs=700):
     return log, blocks
 
 
+def power_capped():
+    # Room for about two thirds of the cluster at the default draw, so
+    # the watt cap binds on both sides of the walk.
+    return REGISTRY.resolve("power-capped", budget_watts=50_000.0)
+
+
+def aging():
+    return REGISTRY.resolve("aging", aging_interval=300.0)
+
+
 @pytest.mark.parametrize(
     "make_config",
     [
@@ -379,8 +449,13 @@ def drive_ranked_widths(engine, seed, n_jobs=700):
         # the walk must treat them as left waiting upstream.
         lambda: PolicyConfig(name="easy-preemptive", rescale_gap=300.0,
                              preemption=True, backfill=EasyBackfill()),
+        power_capped,
+        lambda: dataclasses.replace(power_capped(), backfill=EasyBackfill()),
+        aging,
+        lambda: dataclasses.replace(aging(), preemption=True),
     ],
-    ids=["easy", "easy-launcher", "easy-preemptive-gap"],
+    ids=["easy", "easy-launcher", "easy-preemptive-gap", "power-capped",
+         "power-capped-easy", "aging", "aging-preemptive"],
 )
 @pytest.mark.parametrize("seed", [0, 1])
 def test_indexed_walk_matches_literal_scan(make_config, seed):
@@ -389,10 +464,11 @@ def test_indexed_walk_matches_literal_scan(make_config, seed):
     log, blocks = drive_ranked_widths(indexed, seed)
     assert blocks >= 3, "the queue never spanned several blocks"
     assert log == drive_ranked_widths(scan, seed)[0]
-    assert (
-        indexed.config.backfill.last_head_reservations
-        == scan.config.backfill.last_head_reservations
-    )
+    if indexed.config.backfill is not None:
+        assert (
+            indexed.config.backfill.last_head_reservations
+            == scan.config.backfill.last_head_reservations
+        )
 
 
 def test_block_emptied_by_starts_passes_nobody_over():
@@ -425,3 +501,33 @@ def test_block_emptied_by_starts_passes_nobody_over():
     started = [d[1] for d in logs[0]]
     assert len(started) == 65 and started[-1] == "q64"
     assert logs[0] == logs[1]
+
+
+def test_aged_head_is_protected_from_backfill():
+    """EASY reserves for the head of the *aged* queue.
+
+    On 10 slots, R1 holds 6 until t=100 and R2 holds 4 until t=1000.  A
+    (priority 1, 10 wide) waits from t=0; B (priority 3, 6 wide, 5000 s)
+    from t=90.  With one level gained per 10 s, A has aged to the cap
+    (10) and B to 4 when R1 completes, so A is the head: it cannot start
+    on 6 slots, and B would push its reservation from t=1000 to t=5100.
+    Judged by the submitted priorities instead, B would be the head and
+    start.
+    """
+    engine = ElasticPolicyEngine(10, PolicyConfig(
+        name="aging-easy", rescale_gap=float("inf"),
+        aging=Aging(interval=10.0, max_priority=10), backfill=EasyBackfill(),
+    ))
+    for name, width, priority, runtime, now in (
+        ("R1", 6, 1, 100.0, 0.0),
+        ("R2", 4, 1, 1000.0, 0.0),
+        ("A", 10, 1, 100.0, 0.0),
+        ("B", 6, 3, 5000.0, 90.0),
+    ):
+        engine.on_submit(JobRequest(
+            name=name, min_replicas=width, max_replicas=width,
+            priority=priority, params={"est_runtime": runtime},
+        ), now)
+    assert [j.name for j in engine.running] == ["R1", "R2"]
+    assert engine.on_complete("R1", 100.0) == []
+    assert engine.job("B").state is JobState.QUEUED
