@@ -76,6 +76,8 @@ jobs and block size ``B``:
   of constraint weights, so the dry run credits whole blocks only when
   there is no constraint.  Figure 3 caps every expansion and queued
   start by the constraint's ``admit``;
+* preemption and forced eviction share one requeue walk, which frees
+  whole jobs towards the same dual deficit as the Figure-2 walk;
 * under the aging stage the queue is keyed by *aged* priority.  Queued
   jobs whose aged priority moved are re-keyed (removed, re-keyed,
   re-added) at every submission and before every Figure-3 walk, so the
@@ -480,44 +482,60 @@ class ElasticPolicyEngine:
                         units -= freed * weight
 
     # ------------------------------------------------------------------
-    # Preemption stage (§3.2.2, checkpoint-to-disk preemption)
+    # The requeue walk: preemption (§3.2.2) and forced eviction
     # ------------------------------------------------------------------
+
+    def _requeue_victims(
+        self, slots: int, units: float, below: float, lo: int
+    ) -> Tuple[List[SchedulerJob], bool]:
+        """Pure query: the running jobs to requeue whole towards freeing
+        ``slots`` slots and ``units`` constraint units, and whether both
+        deficits are covered.  Lowest priority first, never the first
+        ``lo`` jobs, up to the first whose priority is ``>= below``, while
+        either deficit is positive.  A victim frees everything it holds
+        (``replicas + launcher_slots`` slots, ``replicas × weight``
+        units), so unlike the shrink walk there is no rescale-gap test.
+        """
+        reserve = self.config.launcher_slots
+        cons = self._constraint
+        victims: List[SchedulerJob] = []
+        # islice stops before the first ``lo`` jobs without materializing
+        # the running list on every attempt.
+        for candidate in itertools.islice(
+            reversed(self.running), max(0, len(self.running) - lo)
+        ):
+            if (slots <= 0 and units <= 0) or candidate.priority >= below:
+                break
+            victims.append(candidate)
+            slots -= candidate.replicas + reserve
+            if cons is not None:
+                units -= candidate.replicas * cons.weight(candidate.request)
+        return victims, slots <= 0 and units <= 0
 
     def _preempt_for(
         self, job: SchedulerJob, now: float, decisions: List[Decision]
     ) -> None:
-        """Last resort for an arrival that ended queued: preempt.
-
-        Only strictly lower-priority running jobs are victims, lowest
-        priority first and never the protected index-0 job, and only if
-        together they free the arrival's minimum.  Each victim leaves
-        through :meth:`_requeue`; the arrival then starts in place of
-        its :class:`EnqueueJob` — capped like every start, so if the
-        constraint still refuses it the arrival stays queued.
+        """Preemption stage for an arrival that ended queued: the requeue
+        walk chases its minimum over strictly lower-priority jobs, never
+        the index-0 one — the slot deficit and, when ``admit`` refuses
+        it, the unit deficit (``min_replicas × weight − headroom``).
+        Only if the victims cover both are they checkpointed to disk
+        (:class:`PreemptJob`), and the arrival starts instead of queuing.
         """
+        request = job.request
         reserve = self.config.launcher_slots
-        needed = job.request.min_replicas - (self.free_slots - reserve)
-        victims: List[SchedulerJob] = []
-        freed = 0
-        # islice over the lazy reverse iterator stops before the head
-        # without materializing the running list on every attempt.
-        for candidate in itertools.islice(
-            reversed(self.running), max(0, len(self.running) - 1)
-        ):
-            if freed >= needed or candidate.priority >= job.priority:
-                break
-            victims.append(candidate)
-            freed += candidate.replicas + reserve
-        if not victims or freed < needed:
-            return  # nothing to gain (or a backfill gate refused a fit)
-        enqueue = decisions.pop()
-        for victim in victims:
-            decisions.append(self._requeue(victim, now, preempt=True))
-        replicas = self._admissible(job.request, self.free_slots - reserve)
-        if replicas >= job.request.min_replicas:
+        cons = self._constraint
+        units = 0.0
+        if cons is not None and cons.admit(request) < request.min_replicas:
+            units = request.min_replicas * cons.weight(request) - cons.headroom()
+        slots = request.min_replicas - (self.free_slots - reserve)
+        victims, covered = self._requeue_victims(slots, units, job.priority, 1)
+        if victims and covered:
+            decisions.pop()  # the arrival's EnqueueJob
+            for victim in victims:
+                decisions.append(self._requeue(victim, now, preempt=True))
+            replicas = self._admissible(request, self.free_slots - reserve)
             decisions.append(self._start_queued(job, replicas, now))
-        else:
-            decisions.append(enqueue)
 
     # ------------------------------------------------------------------
     # Event: job finished (Figure 3)
@@ -794,9 +812,9 @@ class ElasticPolicyEngine:
 
         ``force=True`` (spot interruption) must reclaim everything ``now``:
         the walk ignores the rescale gap, and any remaining deficit is
-        met by evicting whole running jobs back to the queue
-        (:class:`RequeueJob`), lowest priority first — the protected
-        index-0 job last of all, because a dead node protects nobody.
+        met by evicting whole jobs (:class:`RequeueJob`) through the
+        requeue walk preemption uses, lowest priority first — the index-0
+        job last of all, because a dead node protects nobody.
 
         Returns ``(removed, decisions)`` with ``removed <= slots`` (always
         ``== min(slots, total_slots)`` when forced).
@@ -811,13 +829,9 @@ class ElasticPolicyEngine:
             gap = float("-inf") if force else self.config.rescale_gap
             self._shrink_pass(math.inf, now, deficit, -math.inf, decisions, gap)
             deficit = slots - self.free_slots
-        if deficit > 0 and force:
-            # Evict whole jobs, lowest priority first; the snapshot is
-            # taken up front because _requeue mutates the running list.
-            for candidate in list(reversed(self.running)):
-                if self.free_slots >= slots:
-                    break
-                decisions.append(self._requeue(candidate, now))
+        if force:
+            for victim in self.eviction_candidates(slots):
+                decisions.append(self._requeue(victim, now))
         removed = min(slots, self.free_slots)
         self.total_slots -= removed
         self._transitions += 1
@@ -826,27 +840,13 @@ class ElasticPolicyEngine:
     def eviction_candidates(self, slots: int) -> List[SchedulerJob]:
         """Running jobs a forced shrink of ``slots`` *might* requeue.
 
-        A pure preview for the fault-recovery path: when a reclaim
-        notice arrives, the substrate checkpoints the jobs that the
-        eventual ``shrink_capacity(..., force=True)`` could evict.  The
-        preview is a conservative superset — it ignores the relief the
-        shrink-victim walk would provide, walking the running list in
-        eviction order (lowest priority first) until the accumulated
-        replicas cover the deficit — because checkpointing a job that
-        ends up surviving costs only the modeled write, while missing
-        one that dies loses all its progress.  No engine state changes.
+        A pure preview for the fault-recovery path, which checkpoints
+        these jobs on a reclaim notice.  A forced shrink evicts this very
+        list once its shrink walk has run, so the preview is a superset
+        of the evictions (exactly them when no job is shrinkable).
         """
         deficit = int(slots) - self.free_slots
-        candidates: List[SchedulerJob] = []
-        if deficit <= 0:
-            return candidates
-        covered = 0
-        for job in reversed(self.running):
-            if covered >= deficit:
-                break
-            candidates.append(job)
-            covered += job.replicas
-        return candidates
+        return self._requeue_victims(deficit, -math.inf, math.inf, 0)[0]
 
     def rebalance(self, now: float) -> List[Decision]:
         """Redistribute the current free pool (Figure 3, budget-only).
@@ -866,14 +866,12 @@ class ElasticPolicyEngine:
     ) -> Decision:
         """Move a running job back to the queue, releasing its slots.
 
-        A forced capacity loss evicts (:class:`RequeueJob`): ``last_action``
-        resets to ``-inf``, the value a never-started submission carries —
-        the job is starting over, and it must be immediately restartable
-        when capacity returns (under the moldable policy,
-        ``T_rescale_gap = ∞``, any finite timestamp would gate its restart
-        forever, deadlocking the workload on the first interruption).
-        Eviction is the cloud's doing, not one of the job's §3.2.1
-        scheduling events, so no rescale-gap penalty applies.
+        An eviction (:class:`RequeueJob`) is the cloud's doing, not a
+        scheduling event: ``last_action`` resets to ``-inf``, the value a
+        never-started submission carries — the job is starting over, and
+        it must be immediately restartable when capacity returns (under
+        the moldable policy, ``T_rescale_gap = ∞``, any finite timestamp
+        would gate its restart forever, deadlocking the workload).
 
         A preemption (:class:`PreemptJob`) *is* a scheduling event: it
         stamps ``last_action = now``, and the job resumes from its disk
@@ -886,13 +884,11 @@ class ElasticPolicyEngine:
         if self._constraint is not None:
             self._constraint.charge(job.request, -released)
         job.replicas = 0
-        if preempt:
-            job.last_action = now
-            self._preempted.add(job.name)
-            self._enqueue(job, now)
-            return PreemptJob(job=job, released_replicas=released)
-        job.last_action = -math.inf
+        job.last_action = now if preempt else -math.inf
         self._enqueue(job, now)
+        if preempt:
+            self._preempted.add(job.name)
+            return PreemptJob(job=job, released_replicas=released)
         return RequeueJob(job=job, released_replicas=released)
 
     # ------------------------------------------------------------------

@@ -12,7 +12,8 @@ four-policy tables do not):
 * **preemptive** — "lower-priority jobs could be sent a signal to
   checkpoint to disk and then be preempted to make room for
   higher-priority jobs ... restarted from [the] checkpoint at a later
-  time" (*Job preemption*): the ``preemption`` stage.
+  time" (*Job preemption*): the ``preemption`` stage, which preempts
+  only when that frees both the slots and the watts the arrival needs.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ def _aging(
 @REGISTRY.register(
     "preemptive", tags=("extension", "preemption"),
     description="elastic + §3.2.2 preemption: higher-priority arrivals "
-                "checkpoint lower-priority jobs to disk",
+                "checkpoint lower-priority jobs to disk when that frees "
+                "the slots and watts they need",
 )
 def _preemptive(
     rescale_gap: float = DEFAULT_RESCALE_GAP,

@@ -86,9 +86,10 @@ class RequeueJob(Decision):
 class PreemptJob(Decision):
     """Checkpoint a running job to disk and release all its slots (§3.2.2).
 
-    Emitted only under ``PolicyConfig.preemption``.  The job returns to
-    the queue with its progress preserved; the substrate charges the disk
-    checkpoint now and the restore when :class:`ResumeJob` restarts it.
+    Emitted only under ``PolicyConfig.preemption``, in a batch ending in
+    the arrival's :class:`StartJob`.  The job returns to the queue with
+    its progress preserved; the substrate charges the disk checkpoint now
+    and the restore when :class:`ResumeJob` restarts it.
     """
 
     released_replicas: int
@@ -208,8 +209,8 @@ class SchedulingPolicy(Protocol):
     ``aging``
         queue-aging stage — queued jobs gain priority while they wait.
     ``preemption``
-        preemption stage — a strictly higher-priority arrival that would
-        queue checkpoints lower-priority running jobs to disk instead.
+        preemption stage — an arrival that would queue checkpoints
+        lower-priority jobs to disk if that frees its slots and units.
     """
 
     name: str
@@ -278,11 +279,11 @@ class PolicyConfig:
         waiting-time-boosted priority.  ``None`` orders by the submitted
         priority alone.
     preemption:
-        Preemption stage: when a submission ends queued, running jobs of
-        strictly lower priority are checkpointed to disk
-        (:class:`PreemptJob`) — lowest priority first, never the
-        index-0 job — if that lets the arrival start.  Victims resume
-        later as :class:`ResumeJob`.
+        Preemption stage: an arrival that would queue instead checkpoints
+        strictly lower-priority running jobs to disk (:class:`PreemptJob`)
+        — lowest first, never the index-0 job, by the walk forced evictions
+        use — if they free both the slots and the constraint units (watts)
+        its minimum needs.  Victims resume later as :class:`ResumeJob`.
     """
 
     name: str = "elastic"

@@ -8,6 +8,7 @@ aggregate integrity, and the documented drain/evict semantics.
 """
 
 import math
+import random
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.scheduling import (
     ShrinkJob,
     StartJob,
 )
+from tests.scheduling.invariants import check_engine
 
 
 def request(name, lo, hi, priority=1):
@@ -31,15 +33,6 @@ def request(name, lo, hi, priority=1):
 
 def engine_with(total=32, **config):
     return ElasticPolicyEngine(total, PolicyConfig(**config))
-
-
-def check_books(engine):
-    """free_slots must always equal total minus the sum of live replicas."""
-    held = sum(j.replicas for j in engine.running)
-    held += len(engine.running) * engine.config.launcher_slots
-    assert engine.free_slots == engine.total_slots - held
-    engine.running.check_invariants()
-    engine.queue.check_invariants()
 
 
 class TestGrowCapacity:
@@ -52,7 +45,7 @@ class TestGrowCapacity:
         assert engine.total_slots == 24
         starts = [d for d in grown if isinstance(d, StartJob)]
         assert [d.job.name for d in starts] == ["b"]
-        check_books(engine)
+        check_engine(engine, now=2.0)
 
     def test_grow_expands_running_elastic_job(self):
         engine = engine_with(8, rescale_gap=0.0)
@@ -61,7 +54,7 @@ class TestGrowCapacity:
         grown = engine.grow_capacity(8, now=100.0)
         assert [type(d).__name__ for d in grown] == ["ExpandJob"]
         assert engine.job("a").replicas == 16
-        check_books(engine)
+        check_engine(engine, now=100.0)
 
     def test_grow_rejects_nonpositive(self):
         engine = engine_with(8)
@@ -77,7 +70,7 @@ class TestShrinkCapacityCooperative:
         assert removed == 16
         assert decisions == []
         assert engine.total_slots == 16
-        check_books(engine)
+        check_engine(engine, now=1.0)
 
     def test_drain_shrinks_victims_down_to_min(self):
         engine = engine_with(32, rescale_gap=0.0)
@@ -92,7 +85,7 @@ class TestShrinkCapacityCooperative:
         assert engine.job("hi").replicas == 16
         assert removed == 12
         assert engine.total_slots == 20
-        check_books(engine)
+        check_engine(engine, now=500.0)
 
     def test_partial_removal_is_cordoned(self):
         """What could not come off stays; what came off is gone for good."""
@@ -107,7 +100,7 @@ class TestShrinkCapacityCooperative:
         removed, _ = engine.shrink_capacity(8, now=600.0)
         assert removed == 8
         assert engine.total_slots == 8
-        check_books(engine)
+        check_engine(engine, now=600.0)
 
     def test_cooperative_drain_respects_rescale_gap(self):
         engine = engine_with(32, rescale_gap=180.0)
@@ -116,7 +109,7 @@ class TestShrinkCapacityCooperative:
         # inside the gap: only the 16 free slots come off, no shrink
         assert decisions == []
         assert removed == 16
-        check_books(engine)
+        check_engine(engine, now=10.0)
 
 
 class TestShrinkCapacityForced:
@@ -128,7 +121,7 @@ class TestShrinkCapacityForced:
         assert removed == 8
         assert any(isinstance(d, ShrinkJob) for d in decisions)
         assert engine.job("hi").replicas == 16  # index-0 still protected
-        check_books(engine)
+        check_engine(engine, now=1.0)
 
     def test_forced_eviction_lowest_priority_first(self):
         engine = engine_with(32, rescale_gap=0.0)
@@ -142,7 +135,7 @@ class TestShrinkCapacityForced:
         assert engine.job("lo").state.value == "Queued"
         assert engine.job("lo").last_action == -math.inf
         assert engine.job("hi").replicas == 16
-        check_books(engine)
+        check_engine(engine, now=1.0)
 
     def test_forced_can_evict_the_protected_job(self):
         engine = engine_with(16, rescale_gap=0.0)
@@ -152,7 +145,7 @@ class TestShrinkCapacityForced:
         assert engine.total_slots == 0
         assert [type(d).__name__ for d in decisions] == ["RequeueJob"]
         assert len(engine.queue) == 1
-        check_books(engine)
+        check_engine(engine, now=1.0)
 
     def test_requeued_job_restarts_on_regrow(self):
         engine = engine_with(16, rescale_gap=0.0)
@@ -161,7 +154,7 @@ class TestShrinkCapacityForced:
         decisions = engine.grow_capacity(16, now=2.0)
         assert [type(d).__name__ for d in decisions] == ["StartJob"]
         assert engine.job("a").replicas == 16
-        check_books(engine)
+        check_engine(engine, now=2.0)
 
     def test_restart_preserves_first_start_time(self):
         engine = engine_with(16, rescale_gap=0.0)
@@ -197,7 +190,7 @@ class TestRebalance:
             j.state.value == "Running" for j in [engine.job("b"),
                                                  engine.job("c")]
         )
-        check_books(engine)
+        check_engine(engine, now=4.0)
 
     def test_decision_log_records_capacity_decisions(self):
         engine = engine_with(8)
@@ -226,4 +219,47 @@ class TestPreservedFixedCapacityBehaviour:
         removed, decisions = engine.shrink_capacity(17, now=1.0, force=True)
         assert removed == 17
         assert len([d for d in decisions if isinstance(d, RequeueJob)]) == 1
-        check_books(engine)
+        check_engine(engine, now=1.0)
+
+
+class TestEvictionPreview:
+    """``eviction_candidates`` against what the forced shrink then does."""
+
+    @staticmethod
+    def preview_and_evict(seed, launcher_slots, rigid):
+        rng = random.Random(seed)
+        engine = engine_with(64, rescale_gap=0.0, launcher_slots=launcher_slots)
+        for i in range(rng.randint(2, 9)):
+            lo = rng.randint(1, 12)
+            hi = lo if rigid else lo + rng.randint(0, 12)
+            engine.on_submit(request(f"j{i}", lo, hi, rng.randint(1, 5)),
+                             now=float(i))
+        slots = rng.randint(1, 64)
+        preview = [job.name for job in engine.eviction_candidates(slots)]
+        _, decisions = engine.shrink_capacity(slots, now=100.0, force=True)
+        check_engine(engine, now=100.0, decisions=decisions)
+        evicted = [d.job.name for d in decisions if isinstance(d, RequeueJob)]
+        return preview, evicted, decisions
+
+    @pytest.mark.parametrize("launcher_slots", [0, 1])
+    def test_preview_covers_every_forced_eviction(self, launcher_slots):
+        evictions = shrinks = 0
+        for seed in range(200):
+            preview, evicted, decisions = self.preview_and_evict(
+                seed, launcher_slots, rigid=False
+            )
+            assert set(evicted) <= set(preview), seed
+            evictions += len(evicted)
+            shrinks += sum(isinstance(d, ShrinkJob) for d in decisions)
+        assert evictions > 0 and shrinks > 0
+
+    @pytest.mark.parametrize("launcher_slots", [0, 1])
+    def test_preview_is_exact_when_nothing_is_shrinkable(self, launcher_slots):
+        evictions = 0
+        for seed in range(200):
+            preview, evicted, _ = self.preview_and_evict(
+                seed, launcher_slots, rigid=True
+            )
+            assert preview == evicted, seed
+            evictions += len(evicted)
+        assert evictions > 0

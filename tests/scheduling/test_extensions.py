@@ -17,6 +17,7 @@ from repro.scheduling import (
     StartJob,
 )
 from tests.scheduling.conftest import req
+from tests.scheduling.invariants import check_engine
 
 
 class TestAging:
@@ -141,30 +142,40 @@ def power_capped_preemptive(budget_watts=12_000.0):
     )
 
 
-def live_watts(policy):
-    cons = policy._constraint
-    return sum(j.replicas * cons.weight(j.request) for j in policy.running)
-
-
 class TestPreemptionUnderPowerCap:
     def test_budget_tracks_live_draw_after_every_event(self):
         policy = ElasticPolicyEngine(64, power_capped_preemptive())
         events = [
-            lambda: policy.on_submit(
-                req("low-a", 32, 32, priority=1, watts_per_replica=100.0), 0.0),
-            lambda: policy.on_submit(
-                req("low-b", 32, 32, priority=1, watts_per_replica=100.0), 0.0),
-            lambda: policy.on_submit(
-                req("high", 32, 32, priority=5, watts_per_replica=100.0), 10.0),
-            lambda: policy.on_complete("high", 500.0),
-            lambda: policy.on_complete("low-a", 600.0),
+            (0.0, lambda now: policy.on_submit(
+                req("low-a", 32, 32, priority=1, watts_per_replica=100.0), now)),
+            (0.0, lambda now: policy.on_submit(
+                req("low-b", 32, 32, priority=1, watts_per_replica=100.0), now)),
+            (10.0, lambda now: policy.on_submit(
+                req("high", 32, 32, priority=5, watts_per_replica=100.0), now)),
+            (500.0, lambda now: policy.on_complete("high", now)),
+            (600.0, lambda now: policy.on_complete("low-a", now)),
         ]
         kinds = []
-        for event in events:
-            kinds += [type(d) for d in event()]
-            assert policy._constraint.used == live_watts(policy)
+        for now, event in events:
+            decisions = event(now)
+            kinds += [type(d) for d in decisions]
+            check_engine(policy, now, decisions)
         assert PreemptJob in kinds and ResumeJob in kinds
         assert [j.name for j in policy.running] == ["low-b"]
+
+    def test_preempts_for_watts_when_slots_are_free(self):
+        policy = ElasticPolicyEngine(64, power_capped_preemptive(6_400.0))
+        policy.on_submit(
+            req("low-a", 16, 16, priority=1, watts_per_replica=200.0), 0.0)
+        policy.on_submit(
+            req("low-b", 16, 16, priority=1, watts_per_replica=200.0), 0.0)
+        # 32 slots are free, but the two rigid jobs draw the whole 6.4 kW.
+        decisions = policy.on_submit(
+            req("high", 8, 8, priority=5, watts_per_replica=100.0), 10.0)
+        assert [type(d) for d in decisions] == [PreemptJob, StartJob]
+        assert decisions[0].job.name == "low-b"
+        assert policy.job("high").state == JobState.RUNNING
+        check_engine(policy, 10.0, decisions)
 
     def test_post_preemption_start_is_capped_by_the_budget(self):
         policy = ElasticPolicyEngine(64, power_capped_preemptive(6_400.0))
@@ -172,12 +183,15 @@ class TestPreemptionUnderPowerCap:
             req("low-a", 32, 32, priority=1, watts_per_replica=100.0), 0.0)
         policy.on_submit(
             req("low-b", 32, 32, priority=1, watts_per_replica=100.0), 0.0)
-        # Slots free up, but 32 × 300 W can never fit in 6.4 kW.
+        # Preempting low-b would free its slots, but 32 × 300 W can never
+        # fit in 6.4 kW: nobody is checkpointed for nothing.
         decisions = policy.on_submit(
             req("high", 32, 32, priority=5, watts_per_replica=300.0), 10.0)
-        assert [type(d) for d in decisions] == [PreemptJob, EnqueueJob]
+        assert [type(d) for d in decisions] == [EnqueueJob]
         assert policy.job("high").state == JobState.QUEUED
-        assert policy._constraint.used == live_watts(policy)
+        assert policy.job("low-b").state == JobState.RUNNING
+        assert policy._constraint.used == 6_400.0
+        check_engine(policy, 10.0, decisions)
 
 
 class TestSimulatorIntegration:

@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 from repro.scheduling import (
     ElasticPolicyEngine,
     JobRequest,
-    JobState,
     PolicyConfig,
 )
+from tests.scheduling.invariants import check_engine
 
 # ---------------------------------------------------------------------------
 # Workload generation
@@ -56,46 +56,18 @@ def run_workload(events, total_slots=64, rescale_gap=180.0, launcher_slots=0,
             JobRequest(name=f"j{i}", min_replicas=mn, max_replicas=mx, priority=pr),
             now,
         )
-        assert_invariants(policy, now)
+        check_engine(policy, now)
         if i % complete_every == complete_every - 1 and policy.running:
             victim = max(policy.running, key=lambda j: j.submit_time)
             now += 1.0
             policy.on_complete(victim.name, now)
-            assert_invariants(policy, now)
+            check_engine(policy, now)
     # Drain everything.
     while policy.running:
         now += 10.0
         policy.on_complete(policy.running[-1].name, now)
-        assert_invariants(policy, now)
+        check_engine(policy, now)
     return policy
-
-
-def assert_invariants(policy, now):
-    # 1. Never over-committed — and the incremental used-slot counter
-    #    agrees exactly with a from-scratch re-sum over running jobs.
-    assert policy.free_slots >= 0
-    resummed = sum(
-        j.replicas + policy.config.launcher_slots for j in policy.running
-    )
-    assert policy.free_slots == policy.total_slots - resummed
-    # 1b. The queue is sorted by decreasing effective priority too.
-    queue_keys = [(-j.priority, j.submit_time, j.seq) for j in policy.queue]
-    assert queue_keys == sorted(queue_keys)
-    # 2. Every running job within its [min, max] bounds.
-    for job in policy.running:
-        assert job.min_replicas <= job.replicas <= job.max_replicas
-        assert job.state == JobState.RUNNING
-    # 3. Queued jobs hold no slots and keep lastAction = -inf.
-    for job in policy.queue:
-        assert job.replicas == 0
-        assert job.state == JobState.QUEUED
-        assert job.last_action == -math.inf
-    # 4. Running list is sorted by decreasing effective priority.
-    priorities = [(-j.priority, j.submit_time, j.seq) for j in policy.running]
-    assert priorities == sorted(priorities)
-    # 5. lastAction never in the future.
-    for job in policy.running:
-        assert job.last_action <= now
 
 
 @settings(max_examples=120, deadline=None)
